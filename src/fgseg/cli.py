@@ -224,28 +224,20 @@ def _synth_config(cfg, data):
 
 
 def _training_examples(cfg, data, training):
+    manifest = training.read_manifest(cfg.manifest) if cfg.manifest else None
     if cfg.synthetic:
         pairs = data.synth_sequence(_synth_config(cfg, data))
-        pool = len(pairs)
-        if cfg.manifest:
-            indices = training.read_manifest(cfg.manifest)
-            bad = [i for i in indices if not 0 <= i < pool]
-            if bad:
-                raise ValueError(f"manifest indices out of range [0, {pool}): {bad}")
-        else:
-            indices = training.select_frames(pool, min(cfg.frames, pool), cfg.seed)
+        indices = training.select_frames(len(pairs), min(cfg.frames, len(pairs)),
+                                         cfg.seed, focus_list=manifest)
         return training.examples_from_pairs(pairs, indices)
     handle = data.load_sequence(cfg.data)
     start, stop = data.temporal_range(handle)
-    eligible = range(start, stop)
-    if cfg.manifest:
-        indices = training.read_manifest(cfg.manifest)
-        bad = [i for i in indices if not 0 <= i < len(handle)]
-        if bad:
-            raise ValueError(f"manifest indices out of range [0, {len(handle)}): {bad}")
+    if manifest:
+        indices = training.select_frames(len(handle), len(manifest), cfg.seed,
+                                         focus_list=manifest)
     else:
-        picks = training.select_frames(len(eligible), cfg.frames, cfg.seed)
-        indices = [eligible[i] for i in picks]
+        indices = [start + i for i in
+                   training.select_frames(stop - start, cfg.frames, cfg.seed)]
     return [training.TrainingExample(data.read_frame(handle, i),
                                      data.read_labels(handle, i), i)
             for i in indices]
@@ -258,10 +250,10 @@ def cmd_train(cfg, data, model, training):
     net = model.build_model(encoder_weights=cfg.weights_in, seed=cfg.seed,
                             dtype=dtype)
     tc = training.TrainConfig(n_frames=len(examples), epochs=cfg.epochs,
-                              lr=cfg.lr, threshold=cfg.threshold, seed=cfg.seed)
+                              lr=cfg.lr, seed=cfg.seed)
     print(f"train: frames={len(examples)} epochs={tc.epochs} lr={_fmt(tc.lr)} "
-          f"rho={_fmt(tc.rho)} eps={_fmt(tc.epsilon)} batch={tc.batch} "
-          f"val-split={_fmt(tc.val_split)} threshold={_fmt(tc.threshold)} "
+          f"rho={_fmt(tc.rho)} eps={_fmt(tc.epsilon)} batch=1 "
+          f"val-split={_fmt(tc.val_split)} threshold={_fmt(cfg.threshold)} "
           f"precision={cfg.precision} seed={cfg.seed}")
 
     def report(epoch, train_loss, val_loss, lr):

@@ -32,6 +32,7 @@ CODE_FOREGROUND = 255
 
 VALID_CODES = (CODE_BACKGROUND, CODE_SHADOW, CODE_OUTSIDE_ROI,
                CODE_UNKNOWN, CODE_FOREGROUND)
+_IS_VALID_CODE = np.isin(np.arange(256), VALID_CODES)  # lookup by uint8 code
 
 
 # ----------------------------------------------------------------- label mask
@@ -73,16 +74,12 @@ def decode_label(gt_image) -> LabelMask:
     if arr.ndim != 2:
         raise ShapeError(f"decode_label: expected (H, W) grayscale, got {arr.shape}")
     arr = arr.astype(np.uint8)
-    known = np.isin(arr, VALID_CODES)
+    known = _IS_VALID_CODE[arr]
     if not known.all():
         bad = sorted(int(v) for v in np.unique(arr[~known]))
         raise ValueError(f"decode_label: unrecognized gray codes {bad}, "
                          f"expected subset of {list(VALID_CODES)}")
     return LabelMask(arr)
-
-
-def encode_label(mask: LabelMask):
-    return mask.raw.copy()
 
 
 # -------------------------------------------------------------- image readers

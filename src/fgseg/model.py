@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import pad_to_multiple
 from .kernels import (
     ConvSpec,
     ShapeError,
@@ -179,29 +180,34 @@ def layer_table(model: ModelParams):
 
 
 # ------------------------------------------------------------------ forward
+#
+# The tape is a flat list of (kind, name, ctx) entries, one group per layer:
+# the named conv/tconv, the unnamed activation, then dropout and pool when
+# the LayerDef has them.  forward() records the encoder layers of scale 0,
+# 1 and 2, then the decoder layers; backward() slices it by the same defs.
+
+_N_SCALES = DECODER_DEFS[0].in_ch // ENCODER_DEFS[-1].out_ch
+
+
+def _entry_count(d: LayerDef):
+    return 2 + d.dropout_after + d.pool_after
+
 
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
+    record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
     op = conv2d_forward if d.kind == "conv" else tconv2d_forward
     out, ctx = op(x, p.weights, p.bias, d.spec())
-    if tape is not None:
-        tape.append((d.kind, d.name, ctx))
-    if d.name == "dec.b9.t1x1":
-        out, actx = pointwise_activation(out, "sigmoid")
-        if tape is not None:
-            tape.append(("sigmoid", None, actx))
-    else:
-        out, actx = pointwise_activation(out, "relu")
-        if tape is not None:
-            tape.append(("relu", None, actx))
+    record((d.kind, d.name, ctx))
+    act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
+    out, actx = pointwise_activation(out, act)
+    record((act, None, actx))
     if d.dropout_after:
         out, dctx = dropout(out, DROPOUT_RATE, training, rng)
-        if tape is not None:
-            tape.append(("dropout", None, dctx))
+        record(("dropout", None, dctx))
     if d.pool_after:
         out, pctx = maxpool2x2_forward(out)
-        if tape is not None:
-            tape.append(("pool", None, pctx))
+        record(("pool", None, pctx))
     return out
 
 
@@ -211,19 +217,9 @@ def encode_scale(model: ModelParams, image, training=False, rng=None, tape=None)
     if h % 4 or w % 4:
         raise ShapeError(f"encode_scale: extents must be multiples of 4, got {h}x{w}")
     x = np.ascontiguousarray(image, dtype=model.dtype)
-    if tape is not None:
-        tape.append(("scale_start", None, None))
     for d in ENCODER_DEFS:
         x = _run_layer(model, d, x, training, rng, tape)
     return x
-
-
-def _pad4(image):
-    h, w = image.shape[-2:]
-    ph, pw = (-h) % 4, (-w) % 4
-    if ph == 0 and pw == 0:
-        return image
-    return np.pad(image, ((0, 0), (0, ph), (0, pw)), mode="reflect")
 
 
 def forward(model: ModelParams, pyr: PyramidTriple, training=False, rng=None,
@@ -237,20 +233,10 @@ def forward(model: ModelParams, pyr: PyramidTriple, training=False, rng=None,
     for s, image in enumerate(pyr.scales):
         # coarser levels may have odd extents; pad them into the encoder's
         # multiple-of-4 contract, then crop features back to the fine grid
-        f = encode_scale(model, _pad4(image), training, rng, tape)
-        if s > 0:
-            factor = 2 ** s
-            f = upsample_nearest(f, factor)
-            if tape is not None:
-                tape.append(("upsample", None, factor))
-        if f.shape[-2:] != (th, tw):
-            if tape is not None:
-                tape.append(("crop", None, f.shape))
-            f = f[:, :th, :tw]
-        feats.append(f)
+        padded, _ = pad_to_multiple(image, 4)
+        f = encode_scale(model, padded, training, rng, tape)
+        feats.append(upsample_nearest(f, 2 ** s)[:, :th, :tw])
     x = concat_depth(feats)
-    if tape is not None:
-        tape.append(("concat", None, [f.shape[0] for f in feats]))
     for d in DECODER_DEFS:
         x = _run_layer(model, d, x, training, rng, tape)
     return x
@@ -258,65 +244,76 @@ def forward(model: ModelParams, pyr: PyramidTriple, training=False, rng=None,
 
 # ----------------------------------------------------------------- backward
 
+_BACKWARD = {
+    "conv": conv2d_backward,
+    "tconv": tconv2d_backward,
+    "relu": pointwise_activation_backward,
+    "sigmoid": pointwise_activation_backward,
+    "dropout": dropout_backward,
+    "pool": maxpool2x2_backward,
+}
+_FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
+_ENCODER_ENTRIES = sum(_entry_count(d) for d in ENCODER_DEFS)
+
+
+def _check_tape(tape):
+    pos = 0
+    for d in ENCODER_DEFS * _N_SCALES + DECODER_DEFS:
+        found = tuple(tape[pos][:2]) if pos < len(tape) else "missing"
+        if found != (d.kind, d.name):
+            raise ValueError(f"backward: tape entry {pos} is {found}, expected "
+                             f"{d.kind} {d.name!r}")
+        pos += _entry_count(d)
+    if pos != len(tape):
+        raise ValueError(f"backward: tape has {len(tape)} entries, the layer "
+                         f"definitions record {pos}")
+
+
+def _backward_layers(defs, entries, g, grads):
+    """Walk defs in reverse over their tape entries down to the first frozen
+    layer, adding weight gradients into grads; returns the input gradient."""
+    end = len(entries)
+    for d in reversed(defs):
+        if d.frozen:
+            break
+        start = end - _entry_count(d)
+        (kind, name, ctx), *after = entries[start:end]
+        for k, _, c in reversed(after):
+            g = _BACKWARD[k](g, c)
+        g, gw, gb = _BACKWARD[kind](g, ctx, need_input_grad=d is not _FIRST_TRAINABLE)
+        if name in grads:
+            grads[name][0] += gw
+            grads[name][1] += gb
+        else:
+            grads[name] = [gw, gb]
+        end = start
+    return g
+
+
 def backward(model: ModelParams, tape, grad_out):
     """Backward over the whole-network tape produced by forward().
 
     Returns {layer name: (grad_weights, grad_bias)} for trainable layers.
     Encoder gradients accumulate over the three shared scale paths.  Each
-    scale segment stops at the deepest trainable layer: everything below is
-    frozen and images need no input gradient.
+    scale stops at the first trainable layer: everything below is frozen and
+    images need no input gradient.  Raises ValueError when the tape does not
+    match the layer definitions.
     """
-    # split the linear tape at the concat marker
-    concat_idx = next(i for i, e in enumerate(tape) if e[0] == "concat")
-    decoder_tape = tape[concat_idx + 1:]
-    g = grad_out
+    _check_tape(tape)
     grads = {}
-    for op, name, ctx in reversed(decoder_tape):
-        if op in ("conv", "tconv"):
-            back = conv2d_backward if op == "conv" else tconv2d_backward
-            g, gw, gb = back(g, ctx)
-            grads[name] = (gw, gb)
-        elif op in ("relu", "sigmoid"):
-            g = pointwise_activation_backward(g, ctx)
-        elif op == "dropout":
-            g = dropout_backward(g, ctx)
-        else:
-            raise ValueError(f"unexpected decoder op {op!r}")
-    parts = concat_depth_backward(g, tape[concat_idx][2])
-
-    # encoder segments, each bounded by its scale_start marker
-    starts = [i for i, e in enumerate(tape[:concat_idx]) if e[0] == "scale_start"]
-    bounds = list(zip(starts, starts[1:] + [concat_idx]))
-    for (lo, hi), gseg in zip(bounds, parts):
-        g = gseg
-        for op, name, ctx in reversed(tape[lo + 1:hi]):
-            if op == "conv":
-                p = model[name]
-                if not p.trainable:
-                    break  # frozen from here down
-                first = name == "enc.b4.c1"
-                g, gw, gb = conv2d_backward(g, ctx, need_input_grad=not first)
-                if name in grads:
-                    grads[name][0] += gw
-                    grads[name][1] += gb
-                else:
-                    grads[name] = [gw, gb]
-                if first:
-                    break
-            elif op == "relu":
-                g = pointwise_activation_backward(g, ctx)
-            elif op == "dropout":
-                g = dropout_backward(g, ctx)
-            elif op == "pool":
-                g = maxpool2x2_backward(g, ctx)
-            elif op == "upsample":
-                g = upsample_nearest_backward(g, ctx)
-            elif op == "crop":
-                full = np.zeros(ctx, dtype=g.dtype)
-                full[:, :g.shape[1], :g.shape[2]] = g
-                g = full
-            else:
-                raise ValueError(f"unexpected encoder op {op!r}")
+    g = _backward_layers(DECODER_DEFS, tape[_N_SCALES * _ENCODER_ENTRIES:],
+                         grad_out, grads)
+    parts = concat_depth_backward(g, [ENCODER_DEFS[-1].out_ch] * _N_SCALES)
+    last = _entry_count(ENCODER_DEFS[-1])
+    for s, g in enumerate(parts):
+        entries = tape[s * _ENCODER_ENTRIES:(s + 1) * _ENCODER_ENTRIES]
+        # undo the crop, then the upsample, onto this scale's feature grid
+        factor = 2 ** s
+        h, w = entries[-last][2][2]
+        g = np.pad(g, ((0, 0), (0, h * factor - g.shape[1]),
+                       (0, w * factor - g.shape[2])))
+        g = upsample_nearest_backward(g, factor)
+        _backward_layers(ENCODER_DEFS, entries, g, grads)
     return {k: (np.asarray(v[0]), np.asarray(v[1])) for k, v in grads.items()}
 
 
@@ -417,7 +414,7 @@ def load_weights(path) -> ModelParams:
     """Strict full-model load; every architecture tensor must be present."""
     entries = read_container(path)
     arrays = _collect_layers(entries, ALL_DEFS, str(path))
-    dtype = arrays["enc.b1.c1"][0].dtype
+    dtype = arrays[ALL_DEFS[0].name][0].dtype
     layers = {}
     for d in ALL_DEFS:
         w, b = arrays[d.name]

@@ -39,13 +39,10 @@ class TrainConfig:
     lr: float = 1e-4
     rho: float = 0.9
     epsilon: float = 1e-8
-    batch: int = 1
     val_split: float = 0.20
     plateau_patience: int = 6
     plateau_factor: float = 0.1
     min_delta: float = 1e-4
-    l2: float = 5e-4
-    threshold: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +54,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.plateau_patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.plateau_patience}")
-        if self.batch != 1:
-            raise ValueError("only batch size 1 is supported")
 
 
 @dataclass
@@ -84,8 +79,9 @@ def select_frames(total, n, seed, focus_list=None):
     uniform sampling without replacement."""
     if focus_list is not None:
         indices = [int(i) for i in focus_list]
-        if len(set(indices)) != len(indices):
-            raise ValueError("focus list contains duplicate frame indices")
+        dupes = sorted({i for i in indices if indices.count(i) > 1})
+        if dupes:
+            raise ValueError(f"focus list has duplicate frame indices {dupes}")
         bad = [i for i in indices if not 0 <= i < total]
         if bad:
             raise ValueError(f"focus list indices out of range [0, {total}): {bad}")
@@ -98,11 +94,9 @@ def select_frames(total, n, seed, focus_list=None):
 
 def read_manifest(path):
     """Manual-selection manifest: one frame index per line, # comments allowed."""
-    indices = []
-    for line in open(path):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            indices.append(int(line))
+    with open(path) as fh:
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    indices = [int(line) for line in lines if line]
     if not indices:
         raise ValueError(f"{path}: manifest selects no frames")
     return indices
@@ -244,9 +238,6 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
     state = init_optimizer(model, config.lr)
     schedule = PlateauSchedule(config.plateau_patience, config.plateau_factor,
                                config.min_delta)
-    for p in model.trainable_layers():
-        if p.l2 > 0.0:
-            p.l2 = config.l2
 
     history = TrainHistory()
     best_val = math.inf

@@ -101,6 +101,18 @@ def test_small_frame_budget_defaults_to_sixty_epochs(tmp_path, capsys):
     assert out.count("epoch ") == 60 + 1  # 60 progress lines + checkpoint line
 
 
+def test_manifest_with_repeated_index_fails_before_training(tmp_path, capsys):
+    # a repeated frame could land in both the train and validation splits
+    manifest = tmp_path / "frames.txt"
+    manifest.write_text("0\n1\n2\n3\n3\n")
+    weights = tmp_path / "m.fgsn"
+    assert run("train", *TINY, "--manifest", manifest, "--weights-out", weights) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "duplicate" in err and "[3]" in err
+    assert not weights.exists()
+
+
 def test_train_is_deterministic_end_to_end(tmp_path, capsys):
     blobs = []
     for name in ("a", "b"):

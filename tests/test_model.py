@@ -129,10 +129,13 @@ def test_forward_probability_map(small_model):
     out = forward(small_model, build_pyramid(img), tape=tape)
     assert out.shape == (1, 64, 64)
     assert np.all(out > 0.0) and np.all(out < 1.0)
-    concat = next(e for e in tape if e[0] == "concat")
-    assert concat[2] == [512, 512, 512]
-    b5 = next(e for e in tape if e[1] == "dec.b5.t1x1a")
-    assert b5[2][0].shape == (1536, 16, 16)
+    # layer entries only, no markers between the scales and the decoder
+    assert {e[0] for e in tape} == {"conv", "relu", "dropout", "pool",
+                                    "tconv", "sigmoid"}
+    # the first decoder entry takes the three 512-channel scale features
+    first_dec = next(e for e in tape if e[0] == "tconv")
+    assert first_dec[1] == "dec.b5.t1x1a"
+    assert first_dec[2][0].shape == (3 * 512, 16, 16)
 
 
 def test_forward_untrained_output_not_saturated(small_model):
@@ -221,6 +224,35 @@ def test_end_to_end_gradient_check_small():
         err = abs(analytic - fd) / max(1e-8, abs(analytic) + abs(fd))
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+def _training_tape(m):
+    img = np.random.default_rng(69).uniform(0, 255, size=(3, 16, 16)).astype(np.float32)
+    tape = []
+    out = forward(m, build_pyramid(img), training=True,
+                  rng=np.random.default_rng(0), tape=tape)
+    return tape, out
+
+
+def test_backward_rejects_tape_missing_an_entry(small_model):
+    tape, out = _training_tape(small_model)
+    i = next(i for i, e in enumerate(tape) if e[1] == "dec.b5.t1x1a")
+    del tape[i + 1]  # the relu after dec.b5.t1x1a
+    with pytest.raises(ValueError, match="dec.b5.t3x3"):
+        backward(small_model, tape, np.ones_like(out))
+    tape, out = _training_tape(small_model)
+    del tape[-1]  # the final sigmoid
+    with pytest.raises(ValueError, match="entries"):
+        backward(small_model, tape, np.ones_like(out))
+
+
+def test_backward_rejects_single_scale_tape(small_model):
+    img = np.zeros((3, 16, 16), dtype=np.float32)
+    tape = []
+    feats = encode_scale(small_model, img, training=True,
+                         rng=np.random.default_rng(0), tape=tape)
+    with pytest.raises(ValueError, match="enc.b1.c1"):
+        backward(small_model, tape, np.ones_like(feats))
 
 
 # serialization ---------------------------------------------------------

@@ -326,7 +326,7 @@ def test_config_defaults_and_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="patience"):
         TrainConfig(plateau_patience=0)
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(TypeError, match="batch"):  # batch size 1 only
         TrainConfig(batch=2)
 
 
