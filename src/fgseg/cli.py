@@ -10,7 +10,6 @@ import csv
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -30,26 +29,8 @@ def pin_threads(environ=os.environ):
     return int(raw)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    data: str = None
-    out: str = None
-    weights_in: str = None
-    weights_out: str = None
-    manifest: str = None
-    masks: str = None
-    probs: str = None
-    frames: int = None
-    epochs: int = None
-    lr: float = None
-    threshold: float = None
-    seed: int = None
-    precision: str = None
-    synthetic: bool = False
-    width: int = None
-    height: int = None
-    objects: int = None
+THRESHOLD = 0.8   # probability above which a pixel is foreground
+PRECISIONS = {"f32": "float32", "f64": "float64"}   # dtype names: numpy loads later
 
 
 def _bool(text):
@@ -61,36 +42,24 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_COERCE = {"frames": int, "epochs": int, "seed": int, "width": int,
-           "height": int, "objects": int, "lr": float, "threshold": float,
-           "synthetic": _bool}
-
-_DEFAULTS = {
-    "train": {"frames": 50, "lr": 1e-4, "threshold": 0.8, "seed": 0,
-              "precision": "f32", "width": 64, "height": 64, "objects": 2},
-    "segment": {"threshold": 0.8, "seed": 0, "frames": 60,
-                "width": 64, "height": 64, "objects": 2},
-    "evaluate": {},
-    "sweep": {},
-    "synth": {"frames": 60, "seed": 0, "width": 64, "height": 64,
-              "objects": 2},
-    "info": {"seed": 0, "precision": "f32"},
-}
-
-
-def _build_parser():
+def _build_parser(data, training):
+    """Defaults come from the library's own config dataclasses."""
+    synth, train = data.SynthConfig(), training.TrainConfig()
+    scene = dict(width=synth.width, height=synth.height,
+                 objects=synth.n_objects)
     parser = argparse.ArgumentParser(
         prog="fgseg",
         description="Scene-specific foreground segmentation: train on a few "
                     "labeled frames of one sequence, then segment and score it.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, *flag_groups):
+    def add(name, helptext, *flag_groups, **defaults):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="key=value file; explicit flags win")
+        p.add_argument("--config", help="file of key=value lines, keys being "
+                                        "long flag names; explicit flags win")
         for args, kwargs in flag_groups:
-            p.add_argument(*args, default=None, **kwargs)
-        return p
+            p.add_argument(*args, **kwargs)
+        p.set_defaults(**defaults)
 
     source = [
         (("--data",), dict(help="sequence root (input/ + groundtruth/)")),
@@ -98,8 +67,10 @@ def _build_parser():
                                 help="use a generated scene instead of --data")),
         (("--width",), dict(type=int, help="synthetic frame width")),
         (("--height",), dict(type=int, help="synthetic frame height")),
+        (("--objects",), dict(type=int, help="synthetic object count")),
         (("--seed",), dict(type=int)),
     ]
+    precision = (("--precision",), dict(choices=tuple(PRECISIONS), default="f32"))
     add("train", "fit a model to one sequence", *source,
         (("--manifest",), dict(help="file of 0-based frame indices, one per line")),
         (("--frames",), dict(type=int, help="training frame count")),
@@ -110,13 +81,16 @@ def _build_parser():
                                  help="container with pretrained encoder weights")),
         (("--weights-out",), dict(dest="weights_out")),
         (("--out",), dict(help="history CSV path (default: alongside weights)")),
-        (("--precision",), dict(choices=("f32", "f64"))))
+        precision,
+        frames=train.n_frames, lr=train.lr, seed=train.seed,
+        threshold=THRESHOLD, **scene)
     add("segment", "write binary masks for every frame", *source,
         (("--frames",), dict(type=int, help="synthetic frame count")),
         (("--weights-in",), dict(dest="weights_in")),
         (("--threshold",), dict(type=float)),
         (("--out",), dict(help="mask output directory")),
-        (("--probs",), dict(help="also dump 16-bit probability maps here")))
+        (("--probs",), dict(help="also dump 16-bit probability maps here")),
+        frames=synth.n_frames, seed=synth.seed, threshold=THRESHOLD, **scene)
     add("evaluate", "score masks against ground truth",
         (("--data",), dict(help="sequence root or category tree")),
         (("--masks",), dict(help="mask directory (mirrors --data layout)")),
@@ -131,17 +105,17 @@ def _build_parser():
         (("--width",), dict(type=int)),
         (("--height",), dict(type=int)),
         (("--objects",), dict(type=int)),
-        (("--seed",), dict(type=int)))
-    add("info", "print the parameter report",
         (("--seed",), dict(type=int)),
-        (("--precision",), dict(choices=("f32", "f64"))))
+        frames=synth.n_frames, seed=synth.seed, **scene)
+    add("info", "print the parameter report",
+        (("--seed",), dict(type=int)), precision, seed=train.seed)
     return parser
 
 
 def _read_config_file(path):
     values = {}
     try:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
     except OSError as e:
         raise ValueError(f"cannot read config file: {e}") from e
     for lineno, line in enumerate(lines, 1):
@@ -155,20 +129,19 @@ def _read_config_file(path):
     return values
 
 
-def merge_config(args) -> RunConfig:
-    """Builtin defaults, then the config file, then explicit flags."""
-    known = {f.name for f in fields(RunConfig)}
-    effective = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if key not in known or key == "command":
-                raise ValueError(f"unknown config key {key!r}")
-            effective[key] = _COERCE.get(key, str)(value)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        effective[key] = value
-    return RunConfig(command=args.command, **effective)
+def _apply_config(parser, argv, args):
+    """Parse again with the config file's lines as leading --key=value flags,
+    so explicit flags win and file values pass the same checks as flags."""
+    known = set(vars(args)) - {"command", "config"}
+    flags = []
+    for key, value in _read_config_file(args.config).items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        if key == "synthetic":
+            flags += ["--synthetic"] if _bool(value) else []
+        else:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return parser.parse_args([args.command, *flags, *argv[1:]])
 
 
 def _require(cfg, *names):
@@ -178,7 +151,7 @@ def _require(cfg, *names):
             raise ValueError(f"{cfg.command} requires {flag}")
 
 
-def validate(cfg: RunConfig):
+def validate(cfg):
     """All flag-combination checks run here, before any file is touched."""
     if cfg.command in ("train", "segment"):
         if cfg.synthetic and cfg.data:
@@ -197,8 +170,9 @@ def validate(cfg: RunConfig):
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
-    if cfg.threshold is not None and not 0.0 < cfg.threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {cfg.threshold}")
+    threshold = getattr(cfg, "threshold", None)
+    if threshold is not None and not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     return cfg
 
 
@@ -245,15 +219,13 @@ def _training_examples(cfg, data, training):
 
 def cmd_train(cfg, data, model, training):
     examples = _training_examples(cfg, data, training)
-    import numpy as np
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
     net = model.build_model(encoder_weights=cfg.weights_in, seed=cfg.seed,
-                            dtype=dtype)
+                            dtype=PRECISIONS[cfg.precision])
     tc = training.TrainConfig(n_frames=len(examples), epochs=cfg.epochs,
                               lr=cfg.lr, seed=cfg.seed)
     print(f"train: frames={len(examples)} epochs={tc.epochs} lr={_fmt(tc.lr)} "
-          f"rho={_fmt(tc.rho)} eps={_fmt(tc.epsilon)} batch=1 "
-          f"val-split={_fmt(tc.val_split)} threshold={_fmt(cfg.threshold)} "
+          f"rho={_fmt(training.RHO)} eps={_fmt(training.EPSILON)} batch=1 "
+          f"val-split={_fmt(training.VAL_SPLIT)} threshold={_fmt(cfg.threshold)} "
           f"precision={cfg.precision} seed={cfg.seed}")
 
     def report(epoch, train_loss, val_loss, lr):
@@ -401,9 +373,7 @@ def cmd_synth(cfg, data):
 
 
 def cmd_info(cfg, model):
-    import numpy as np
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
-    net = model.build_model(seed=cfg.seed, dtype=dtype)
+    net = model.build_model(seed=cfg.seed, dtype=PRECISIONS[cfg.precision])
     total, trainable, frozen = model.count_parameters(net)
     print(f"parameters: total={total:,} trainable={trainable:,} frozen={frozen:,}")
     header = ("layer", "kind", "weights", "params", "trainable", "l2")
@@ -423,13 +393,15 @@ def main(argv=None):
     except ValueError as e:
         print(f"fgseg: {e}", file=sys.stderr)
         return 2
-    args = _build_parser().parse_args(argv)
+    from . import data, metrics, model, pyramid, training
+    parser = _build_parser(data, training)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
-        cfg = validate(merge_config(args))
+        cfg = validate(_apply_config(parser, argv, args) if args.config else args)
     except ValueError as e:
         print(f"fgseg {args.command}: {e}", file=sys.stderr)
         return 2
-    from . import data, metrics, model, pyramid, training
     try:
         if cfg.command == "train":
             return cmd_train(cfg, data, model, training)

@@ -6,31 +6,17 @@ is blur-then-decimate with a small separable kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import ShapeError, ensure_finite
 
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Blur/decimate settings.  sigma follows the downscale/3 rule."""
-
-    downscale: int = 2
-
-    def __post_init__(self):
-        if self.downscale < 2:
-            raise ValueError(f"downscale must be >= 2, got {self.downscale}")
-
-    @property
-    def sigma(self) -> float:
-        return self.downscale / 3.0
-
-    @property
-    def truncation_radius(self) -> int:
-        return math.ceil(4.0 * self.sigma)
+# Each level halves the one above, the factor the decoder's 2**scale
+# upsampling assumes; sigma follows the downscale/3 rule and the kernel is
+# truncated at ceil(4 * sigma) = 3 samples either side.
+SIGMA = 2.0 / 3.0
+RADIUS = 3
 
 
 @dataclass(frozen=True)
@@ -68,20 +54,20 @@ def _blur_axis(x, taps, axis):
     return out
 
 
-def gaussian_blur(image, config: PyramidConfig = PyramidConfig()):
+def gaussian_blur(image):
     """Separable per-channel blur with reflect borders; shape preserved."""
     image = np.asarray(image)
     if image.ndim != 3:
         raise ShapeError(f"gaussian_blur: expected (C, H, W), got {image.shape}")
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float32)
-    taps = gaussian_taps(config.sigma, config.truncation_radius)
+    taps = gaussian_taps(SIGMA, RADIUS)
     out = _blur_axis(image, taps, axis=2)
     out = _blur_axis(out, taps, axis=1)
     return ensure_finite(out, "gaussian_blur")
 
 
-def build_pyramid(image, config: PyramidConfig = PyramidConfig()) -> PyramidTriple:
+def build_pyramid(image) -> PyramidTriple:
     """Recursive blur+decimate; keeps even-indexed samples at each level."""
     image = np.asarray(image)
     if image.ndim != 3:
@@ -91,6 +77,6 @@ def build_pyramid(image, config: PyramidConfig = PyramidConfig()) -> PyramidTrip
         raise ShapeError(f"build_pyramid: extents must be multiples of 4, got {h}x{w}")
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float32)
-    i1 = gaussian_blur(image, config)[:, ::config.downscale, ::config.downscale]
-    i2 = gaussian_blur(i1, config)[:, ::config.downscale, ::config.downscale]
+    i1 = gaussian_blur(image)[:, ::2, ::2]
+    i2 = gaussian_blur(i1)[:, ::2, ::2]
     return PyramidTriple(image, i1, i2)

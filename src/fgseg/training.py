@@ -18,6 +18,9 @@ from .model import ModelParams, backward, forward, get_state, set_state
 from .pyramid import build_pyramid
 
 PROB_CLIP = 1e-7
+RHO = 0.9          # RMSProp decay of the squared-gradient average
+EPSILON = 1e-8     # RMSProp denominator guard
+VAL_SPLIT = 0.20   # share of the examples held out for validation
 
 
 @dataclass
@@ -37,23 +40,13 @@ class TrainConfig:
     n_frames: int = 50
     epochs: int | None = None   # 60 up to 50 frames, 50 beyond
     lr: float = 1e-4
-    rho: float = 0.9
-    epsilon: float = 1e-8
-    val_split: float = 0.20
-    plateau_patience: int = 6
-    plateau_factor: float = 0.1
-    min_delta: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs is None:
             self.epochs = 60 if self.n_frames <= 50 else 50
-        if not 0.0 < self.val_split < 1.0:
-            raise ValueError(f"val_split must be in (0, 1), got {self.val_split}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.plateau_patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.plateau_patience}")
 
 
 @dataclass
@@ -148,7 +141,7 @@ def init_optimizer(model: ModelParams, lr) -> OptimizerState:
 
 
 def rmsprop_step(model: ModelParams, grads, state: OptimizerState,
-                 rho=0.9, epsilon=1e-8):
+                 rho=RHO, epsilon=EPSILON):
     """In-place update: a <- rho*a + (1-rho)*g^2; w <- w - lr*g/(sqrt(a)+eps).
 
     L2 layers add l2*w to the weight gradient first; biases carry no penalty.
@@ -224,20 +217,19 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
     """
     if len(examples) < 5:
         raise ValueError(f"need at least 5 examples for a "
-                         f"{config.val_split:.0%} validation split, "
+                         f"{VAL_SPLIT:.0%} validation split, "
                          f"got {len(examples)}")
     rng = np.random.default_rng(config.seed)
 
     # phase 1 shuffle: who lands in the validation split
     order = rng.permutation(len(examples))
-    n_val = max(1, int(len(examples) * config.val_split))
+    n_val = max(1, int(len(examples) * VAL_SPLIT))
     val_ids = [int(i) for i in order[:n_val]]
     train_ids = [int(i) for i in order[n_val:]]
 
     prepared = [_prepare(ex) for ex in examples]
     state = init_optimizer(model, config.lr)
-    schedule = PlateauSchedule(config.plateau_patience, config.plateau_factor,
-                               config.min_delta)
+    schedule = PlateauSchedule()
 
     history = TrainHistory()
     best_val = math.inf
@@ -257,7 +249,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
             if not math.isfinite(loss):
                 raise NonFiniteError(f"epoch {epoch} step {step}: loss is {loss}")
             grads = backward(model, tape, grad)
-            rmsprop_step(model, grads, state, config.rho, config.epsilon)
+            rmsprop_step(model, grads, state)
             epoch_loss += loss
         train_loss = epoch_loss / max(1, len(train_ids))
         val_loss = _epoch_val_loss(model, prepared, val_ids)

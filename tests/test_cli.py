@@ -8,11 +8,19 @@ import pytest
 
 import fgseg
 from fgseg import data, netpbm
-from fgseg.cli import THREAD_ENV_VARS, main, merge_config, pin_threads, validate
+from fgseg.cli import THREAD_ENV_VARS, main, pin_threads
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """run(), counting argparse's own exit as the code it exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
 
 
 # ------------------------------------------------------------- thread pinning
@@ -283,20 +291,41 @@ def test_sweep_reports_missing_probability_maps(tmp_path, capsys):
 
 # -------------------------------------------------------------- config files
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path):
+def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("# comment\nthreshold = 0.5\nseed=3\n")
-    import argparse
-    ns = argparse.Namespace(command="segment", config=str(cfgfile), data=None,
-                            synthetic=True, width=None, height=None, seed=None,
-                            frames=None, weights_in="w", threshold=None,
-                            out="o", probs=None)
-    cfg = validate(merge_config(ns))
-    assert cfg.threshold == 0.5
-    assert cfg.seed == 3
-    ns.threshold = 0.9
-    cfg = validate(merge_config(ns))
-    assert cfg.threshold == 0.9
+    cfgfile.write_text("# comment\nseed = 3\nframes=4\nwidth=16\nheight=16\n")
+    assert run("synth", "--config", cfgfile, "--out", tmp_path / "a") == 0
+    assert "wrote 4 frames (16x16, 2 objects, seed 3)" in capsys.readouterr().out
+    assert run("synth", "--config", cfgfile, "--out", tmp_path / "b",
+               "--seed", 9, "--frames", 2) == 0
+    assert "wrote 2 frames (16x16, 2 objects, seed 9)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["precision=f16", "frames=abc", "synthetic=maybe",
+                                  "thresh=0.5", "config=x"])
+def test_config_file_values_pass_the_flag_checks(tmp_path, line):
+    # a config value gets the same type and choice checks as the flag, and
+    # keys are exact long flag names of the command (no abbreviations)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    assert exit_code("train", *TINY, "--epochs", 1, "--config", cfgfile,
+                     "--weights-out", tmp_path / "w.fgsn") == 2
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_train_config_objects_reach_the_synthetic_scene(tmp_path, monkeypatch):
+    seen = []
+
+    def stop(config):
+        seen.append(config.n_objects)
+        raise ValueError("stop before training")
+
+    monkeypatch.setattr(data, "synth_sequence", stop)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("objects=3\n")
+    assert run("train", *TINY, "--config", cfgfile,
+               "--weights-out", tmp_path / "w.fgsn") == 1
+    assert seen == [3]
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -3,29 +3,21 @@ import pytest
 
 import oracles
 from fgseg.kernels import ShapeError
-from fgseg.pyramid import PyramidConfig, build_pyramid, gaussian_blur, gaussian_taps
+from fgseg.pyramid import RADIUS, SIGMA, build_pyramid, gaussian_blur, gaussian_taps
 
 
 def test_default_sigma_is_two_thirds():
-    cfg = PyramidConfig()
-    assert cfg.downscale == 2
-    assert cfg.sigma == pytest.approx(2.0 / 3.0)
+    assert SIGMA == pytest.approx(2.0 / 3.0)
 
 
 def test_kernel_is_seven_taps_normalized():
-    cfg = PyramidConfig()
-    assert cfg.truncation_radius == 3
-    taps = gaussian_taps(cfg.sigma, cfg.truncation_radius)
+    assert RADIUS == 3
+    taps = gaussian_taps(SIGMA, RADIUS)
     assert taps.shape == (7,)
     assert taps.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(taps, taps[::-1])  # symmetric
-    ref = oracles.gaussian_kernel_direct(cfg.sigma, cfg.truncation_radius)
+    ref = oracles.gaussian_kernel_direct(SIGMA, RADIUS)
     assert np.max(np.abs(taps - ref)) < 1e-12
-
-
-def test_downscale_below_two_rejected():
-    with pytest.raises(ValueError, match="downscale"):
-        PyramidConfig(downscale=1)
 
 
 def test_blur_preserves_constant():
@@ -36,11 +28,10 @@ def test_blur_preserves_constant():
 
 
 def test_blur_of_centered_impulse_is_the_kernel():
-    cfg = PyramidConfig()
     img = np.zeros((1, 9, 9), dtype=np.float64)
     img[0, 4, 4] = 1.0
-    out = gaussian_blur(img, cfg)
-    taps = gaussian_taps(cfg.sigma, cfg.truncation_radius)
+    out = gaussian_blur(img)
+    taps = gaussian_taps(SIGMA, RADIUS)
     expect = np.zeros((9, 9))
     expect[1:8, 1:8] = np.outer(taps, taps)
     assert np.max(np.abs(out[0] - expect)) < 1e-6
@@ -48,10 +39,9 @@ def test_blur_of_centered_impulse_is_the_kernel():
 
 def test_blur_matches_loop_oracle_with_reflect_borders():
     rng = np.random.default_rng(30)
-    cfg = PyramidConfig()
     img = rng.uniform(0, 255, size=(2, 8, 7))
-    out = gaussian_blur(img, cfg)
-    ref = oracles.blur_reflect_loops(img, cfg.sigma, cfg.truncation_radius)
+    out = gaussian_blur(img)
+    ref = oracles.blur_reflect_loops(img, SIGMA, RADIUS)
     assert np.max(np.abs(out - ref)) < 1e-10
 
 
@@ -92,11 +82,10 @@ def test_pyramid_keeps_original_scale_untouched():
 
 def test_checkerboard_nyquist_attenuation():
     # amplitude survival ratio comes from the blur oracle, not a fixed guess
-    cfg = PyramidConfig()
     m, a = 128.0, 50.0
     img = np.zeros((1, 32, 32))
     img[0] = m + a * ((-1.0) ** (np.add.outer(np.arange(32), np.arange(32))))
-    ref = oracles.blur_reflect_loops(img, cfg.sigma, cfg.truncation_radius)
+    ref = oracles.blur_reflect_loops(img, SIGMA, RADIUS)
     ratio = np.max(np.abs(ref - m)) / a
     assert ratio < 0.1  # sigma 2/3 crushes the Nyquist component
 

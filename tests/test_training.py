@@ -320,11 +320,11 @@ def test_config_defaults_and_validation():
     assert TrainConfig(n_frames=50).epochs == 60
     assert TrainConfig(n_frames=200).epochs == 50
     assert TrainConfig(n_frames=50, epochs=5).epochs == 5
-    with pytest.raises(ValueError, match="val_split"):
+    with pytest.raises(TypeError, match="val_split"):  # training.VAL_SPLIT
         TrainConfig(val_split=1.0)
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError, match="patience"):
+    with pytest.raises(TypeError, match="plateau_patience"):  # PlateauSchedule's
         TrainConfig(plateau_patience=0)
     with pytest.raises(TypeError, match="batch"):  # batch size 1 only
         TrainConfig(batch=2)
