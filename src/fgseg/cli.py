@@ -42,12 +42,19 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, `fgseg <cmd>: <message>`, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def _build_parser(data, training):
     """Defaults come from the library's own config dataclasses."""
     synth, train = data.SynthConfig(), training.TrainConfig()
     scene = dict(width=synth.width, height=synth.height,
                  objects=synth.n_objects)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fgseg",
         description="Scene-specific foreground segmentation: train on a few "
                     "labeled frames of one sequence, then segment and score it.")

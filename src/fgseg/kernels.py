@@ -148,25 +148,44 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
 
 def conv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True):
     """Gradients of conv2d_forward; returns (grad_x, grad_w, grad_b)."""
-    cols, w, (h, wd), spec = ctx
-    ho, wo = spec.conv_out_hw(h, wd)
-    if grad_out.shape != (spec.out_channels, ho, wo):
-        raise ShapeError(f"conv2d backward: grad shaped {grad_out.shape}, "
-                         f"expected ({spec.out_channels},{ho},{wo})")
-    g = grad_out.reshape(spec.out_channels, -1)
-    grad_w = grad_b = grad_x = None
+    grad_xs, grad_w, grad_b = conv2d_backward_shared(
+        [grad_out], [ctx], need_input_grad, need_weight_grad)
+    return grad_xs[0] if need_input_grad else None, grad_w, grad_b
+
+
+def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True,
+                           need_weight_grad=True):
+    """Gradients of one conv2d_forward layer run on several inputs (the
+    encoder's pyramid scales); returns ([grad_x], grad_w, grad_b).  Both GEMMs
+    span all inputs' columns side by side, summing the weight gradient."""
+    w, spec = ctxs[0][1], ctxs[0][3]
+    for g, (_, _, (h, wd), _) in zip(grads_out, ctxs, strict=True):
+        if g.shape != (spec.out_channels, *spec.conv_out_hw(h, wd)):
+            raise ShapeError(f"conv2d backward: grad shaped {g.shape}, expected "
+                             f"{(spec.out_channels, *spec.conv_out_hw(h, wd))}")
+    g = _hstack([g.reshape(spec.out_channels, -1) for g in grads_out])
+    grad_xs = grad_w = grad_b = None
     if need_weight_grad:
-        grad_w = (g @ cols.T).reshape(w.shape)
+        grad_w = (g @ _hstack([c[0] for c in ctxs]).T).reshape(w.shape)
         grad_b = g.sum(axis=1)
         ensure_finite(grad_w, "conv2d backward")
     if need_input_grad:
         dcols = w.reshape(spec.out_channels, -1).T @ g
-        hp, wp = h + 2 * spec.pad_h, wd + 2 * spec.pad_w
-        dxp = _col2im(dcols, spec.in_channels, hp, wp,
-                      spec.kernel_h, spec.kernel_w, spec.stride, ho, wo)
-        grad_x = dxp[:, spec.pad_h:spec.pad_h + h, spec.pad_w:spec.pad_w + wd]
-        ensure_finite(grad_x, "conv2d backward")
-    return grad_x, grad_w, grad_b
+        grad_xs, start = [], 0
+        for _, _, (h, wd), _ in ctxs:
+            ho, wo = spec.conv_out_hw(h, wd)
+            dxp = _col2im(dcols[:, start:start + ho * wo], spec.in_channels,
+                          h + 2 * spec.pad_h, wd + 2 * spec.pad_w,
+                          spec.kernel_h, spec.kernel_w, spec.stride, ho, wo)
+            start += ho * wo
+            grad_xs.append(ensure_finite(
+                dxp[:, spec.pad_h:spec.pad_h + h, spec.pad_w:spec.pad_w + wd],
+                "conv2d backward"))
+    return grad_xs, grad_w, grad_b
+
+
+def _hstack(mats):
+    return mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1)
 
 
 # ----------------------------------------------------- transposed convolution

@@ -24,7 +24,7 @@ from .kernels import (
     ShapeError,
     concat_depth,
     concat_depth_backward,
-    conv2d_backward,
+    conv2d_backward_shared,
     conv2d_forward,
     dropout,
     dropout_backward,
@@ -181,12 +181,15 @@ def layer_table(model: ModelParams):
 
 # ------------------------------------------------------------------ forward
 #
-# The tape is a flat list of (kind, name, ctx) entries, one group per layer:
-# the named conv/tconv, the unnamed activation, then dropout and pool when
-# the LayerDef has them.  forward() records the encoder layers of scale 0,
-# 1 and 2, then the decoder layers; backward() slices it by the same defs.
+# The tape is a flat list of (kind, name, ctx) entries, one group per
+# trainable layer (frozen ones need no backward): the named conv/tconv, the
+# activation, then dropout and pool when the LayerDef has them; encoder
+# scales 0, 1 and 2, then the decoder.  backward() slices it by the defs.
 
 _N_SCALES = DECODER_DEFS[0].in_ch // ENCODER_DEFS[-1].out_ch
+_FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
+_TRUNK_DEFS = ENCODER_DEFS[:ENCODER_DEFS.index(_FIRST_TRAINABLE)]
+_TRAINED_ENCODER_DEFS = ENCODER_DEFS[len(_TRUNK_DEFS):]
 
 
 def _entry_count(d: LayerDef):
@@ -211,54 +214,67 @@ def _run_layer(model, d: LayerDef, x, training, rng, tape):
     return out
 
 
+def _run_layers(model, defs, x, training=False, rng=None, tape=None):
+    for d in defs:
+        x = _run_layer(model, d, x, training, rng, None if d.frozen else tape)
+    return x
+
+
 def encode_scale(model: ModelParams, image, training=False, rng=None, tape=None):
     """Blocks 1-4 on one scale: (3, h, w) -> (512, h/4, w/4)."""
     h, w = image.shape[-2:]
     if h % 4 or w % 4:
         raise ShapeError(f"encode_scale: extents must be multiples of 4, got {h}x{w}")
     x = np.ascontiguousarray(image, dtype=model.dtype)
-    for d in ENCODER_DEFS:
-        x = _run_layer(model, d, x, training, rng, tape)
-    return x
+    return _run_layers(model, ENCODER_DEFS, x, training, rng, tape)
 
 
-def forward(model: ModelParams, pyr: PyramidTriple, training=False, rng=None,
-            tape=None):
-    """Full network: pyramid triple -> probability map (1, H, W)."""
+def _scale_images(pyr: PyramidTriple):
     h, w = pyr.i0.shape[-2:]
     if h % 4 or w % 4:
         raise ShapeError(f"forward: extents must be multiples of 4, got {h}x{w}")
-    th, tw = h // 4, w // 4
-    feats = []
-    for s, image in enumerate(pyr.scales):
-        # coarser levels may have odd extents; pad them into the encoder's
-        # multiple-of-4 contract, then crop features back to the fine grid
-        padded, _ = pad_to_multiple(image, 4)
-        f = encode_scale(model, padded, training, rng, tape)
-        feats.append(upsample_nearest(f, 2 ** s)[:, :th, :tw])
-    x = concat_depth(feats)
-    for d in DECODER_DEFS:
-        x = _run_layer(model, d, x, training, rng, tape)
-    return x
+    # coarser levels may have odd extents; pad them into the encoder's
+    # multiple-of-4 contract, then crop features back to the fine grid
+    return [pad_to_multiple(image, 4)[0] for image in pyr.scales]
+
+
+def frozen_trunk(model: ModelParams, pyr: PyramidTriple):
+    """Per-scale output of blocks 1-3, the first trainable layer's input.
+    Those blocks neither train nor drop out, so it is fixed per frame."""
+    return tuple(_run_layers(model, _TRUNK_DEFS,
+                             np.ascontiguousarray(image, dtype=model.dtype))
+                 for image in _scale_images(pyr))
+
+
+def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
+    """Full network: pyramid triple -> probability map (1, H, W).  pyr may
+    instead be frozen_trunk(model, pyr), for the same result from less work."""
+    if isinstance(pyr, PyramidTriple):
+        feats = [encode_scale(model, image, training, rng, tape)
+                 for image in _scale_images(pyr)]
+    else:
+        feats = [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
+                 for x in pyr]
+    th, tw = feats[0].shape[1:]
+    x = concat_depth([upsample_nearest(f, 2 ** s)[:, :th, :tw]
+                      for s, f in enumerate(feats)])
+    return _run_layers(model, DECODER_DEFS, x, training, rng, tape)
 
 
 # ----------------------------------------------------------------- backward
 
 _BACKWARD = {
-    "conv": conv2d_backward,
-    "tconv": tconv2d_backward,
     "relu": pointwise_activation_backward,
     "sigmoid": pointwise_activation_backward,
     "dropout": dropout_backward,
     "pool": maxpool2x2_backward,
 }
-_FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
-_ENCODER_ENTRIES = sum(_entry_count(d) for d in ENCODER_DEFS)
+_ENCODER_ENTRIES = sum(_entry_count(d) for d in _TRAINED_ENCODER_DEFS)
 
 
 def _check_tape(tape):
     pos = 0
-    for d in ENCODER_DEFS * _N_SCALES + DECODER_DEFS:
+    for d in _TRAINED_ENCODER_DEFS * _N_SCALES + DECODER_DEFS:
         found = tuple(tape[pos][:2]) if pos < len(tape) else "missing"
         if found != (d.kind, d.name):
             raise ValueError(f"backward: tape entry {pos} is {found}, expected "
@@ -269,52 +285,56 @@ def _check_tape(tape):
                          f"definitions record {pos}")
 
 
-def _backward_layers(defs, entries, g, grads):
-    """Walk defs in reverse over their tape entries down to the first frozen
-    layer, adding weight gradients into grads; returns the input gradient."""
-    end = len(entries)
+def _backward_layers(defs, paths, gs, grads):
+    """Walk defs in reverse, layer by layer across the paths that ran them
+    (the encoder per scale, the decoder once), each with its own tape slice
+    and gradient; sums weight gradients into grads, returns input gradients."""
+    end = len(paths[0])
     for d in reversed(defs):
-        if d.frozen:
-            break
         start = end - _entry_count(d)
-        (kind, name, ctx), *after = entries[start:end]
-        for k, _, c in reversed(after):
-            g = _BACKWARD[k](g, c)
-        g, gw, gb = _BACKWARD[kind](g, ctx, need_input_grad=d is not _FIRST_TRAINABLE)
-        if name in grads:
-            grads[name][0] += gw
-            grads[name][1] += gb
-        else:
-            grads[name] = [gw, gb]
+        ctxs = []
+        for i, entries in enumerate(paths):
+            (_, _, ctx), *after = entries[start:end]
+            for k, _, c in reversed(after):
+                gs[i] = _BACKWARD[k](gs[i], c)
+            ctxs.append(ctx)
+        need = d is not _FIRST_TRAINABLE
+        if d.kind == "conv":
+            gs, gw, gb = conv2d_backward_shared(gs, ctxs, need_input_grad=need)
+        else:  # the decoder runs once per forward
+            gx, gw, gb = tconv2d_backward(gs[0], ctxs[0], need_input_grad=need)
+            gs = [gx]
+        grads[d.name] = (gw, gb)
         end = start
-    return g
+    return gs
 
 
 def backward(model: ModelParams, tape, grad_out):
-    """Backward over the whole-network tape produced by forward().
+    """Backward over the tape of the trainable layers produced by forward().
 
     Returns {layer name: (grad_weights, grad_bias)} for trainable layers.
-    Encoder gradients accumulate over the three shared scale paths.  Each
-    scale stops at the first trainable layer: everything below is frozen and
-    images need no input gradient.  Raises ValueError when the tape does not
-    match the layer definitions.
+    Encoder gradients sum over the three shared scale paths, one GEMM per
+    layer, and stop at the first trainable layer.  Raises ValueError when
+    the tape does not match the layer definitions.
     """
     _check_tape(tape)
     grads = {}
-    g = _backward_layers(DECODER_DEFS, tape[_N_SCALES * _ENCODER_ENTRIES:],
-                         grad_out, grads)
+    (g,) = _backward_layers(DECODER_DEFS, [tape[_N_SCALES * _ENCODER_ENTRIES:]],
+                            [grad_out], grads)
+    paths = [tape[s * _ENCODER_ENTRIES:(s + 1) * _ENCODER_ENTRIES]
+             for s in range(_N_SCALES)]
     parts = concat_depth_backward(g, [ENCODER_DEFS[-1].out_ch] * _N_SCALES)
     last = _entry_count(ENCODER_DEFS[-1])
-    for s, g in enumerate(parts):
-        entries = tape[s * _ENCODER_ENTRIES:(s + 1) * _ENCODER_ENTRIES]
+    gs = []
+    for s, (g, entries) in enumerate(zip(parts, paths)):
         # undo the crop, then the upsample, onto this scale's feature grid
         factor = 2 ** s
         h, w = entries[-last][2][2]
         g = np.pad(g, ((0, 0), (0, h * factor - g.shape[1]),
                        (0, w * factor - g.shape[2])))
-        g = upsample_nearest_backward(g, factor)
-        _backward_layers(ENCODER_DEFS, entries, g, grads)
-    return {k: (np.asarray(v[0]), np.asarray(v[1])) for k, v in grads.items()}
+        gs.append(upsample_nearest_backward(g, factor))
+    _backward_layers(_TRAINED_ENCODER_DEFS, paths, gs, grads)
+    return grads
 
 
 # ------------------------------------------------------------ serialization
@@ -429,9 +449,10 @@ def load_weights(path) -> ModelParams:
 
 
 def get_state(model: ModelParams):
-    """Deep copy of all weights, for checkpoint snapshots."""
-    return {name: (p.weights.copy(), p.bias.copy())
-            for name, p in model.layers.items()}
+    """Deep copy of the trainable weights, for checkpoint snapshots; the
+    frozen layers never change."""
+    return {p.name: (p.weights.copy(), p.bias.copy())
+            for p in model.trainable_layers()}
 
 
 def set_state(model: ModelParams, state):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import LabelMask, pad_labels, pad_to_multiple
 from .kernels import NonFiniteError, ShapeError
-from .model import ModelParams, backward, forward, get_state, set_state
+from .model import ModelParams, backward, forward, frozen_trunk, get_state, set_state
 from .pyramid import build_pyramid
 
 PROB_CLIP = 1e-7
@@ -189,19 +189,22 @@ class PlateauSchedule:
 
 # ------------------------------------------------------------ training loop
 
-def _prepare(example: TrainingExample):
-    frame, _ = pad_to_multiple(example.frame, 4)
+def _prepare(model: ModelParams, example: TrainingExample):
+    """(frozen trunk, padded labels, w_fg, w_bg); the trunk replaces the pyramid."""
     labels, _ = pad_labels(example.labels, 4)
-    pyr = build_pyramid(frame)
+    if not labels.valid.any():
+        raise ValueError(f"frame {example.frame_index}: no supervised pixels (all void)")
+    frame, _ = pad_to_multiple(example.frame, 4)
+    trunk = frozen_trunk(model, build_pyramid(frame))
     w_fg, w_bg = class_weights(labels)
-    return pyr, labels, w_fg, w_bg
+    return trunk, labels, w_fg, w_bg
 
 
 def _epoch_val_loss(model, prepared, val_ids):
     total = 0.0
     for i in val_ids:
-        pyr, labels, w_fg, w_bg = prepared[i]
-        probs = forward(model, pyr)
+        trunk, labels, w_fg, w_bg = prepared[i]
+        probs = forward(model, trunk)
         loss, _ = weighted_bce(probs, labels, w_fg, w_bg)
         total += loss
     return total / len(val_ids)
@@ -227,7 +230,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
     val_ids = [int(i) for i in order[:n_val]]
     train_ids = [int(i) for i in order[n_val:]]
 
-    prepared = [_prepare(ex) for ex in examples]
+    prepared = [_prepare(model, ex) for ex in examples]
     state = init_optimizer(model, config.lr)
     schedule = PlateauSchedule()
 
@@ -239,13 +242,10 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
         epoch_order = rng.permutation(len(train_ids))
         epoch_loss = 0.0
         for step, k in enumerate(epoch_order):
-            pyr, labels, w_fg, w_bg = prepared[train_ids[int(k)]]
+            trunk, labels, w_fg, w_bg = prepared[train_ids[int(k)]]
             tape = []
-            probs = forward(model, pyr, training=True, rng=rng, tape=tape)
-            try:
-                loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
-            except ValueError as e:
-                raise ValueError(f"epoch {epoch} step {step}: {e}") from e
+            probs = forward(model, trunk, training=True, rng=rng, tape=tape)
+            loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
             if not math.isfinite(loss):
                 raise NonFiniteError(f"epoch {epoch} step {step}: loss is {loss}")
             grads = backward(model, tape, grad)

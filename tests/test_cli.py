@@ -67,6 +67,13 @@ def test_synth_dataset_round_trips(tmp_path, capsys):
     assert "wrote 8 frames" in capsys.readouterr().out
 
 
+def test_usage_error_is_one_line(capsys):
+    assert exit_code("info", "--precision", "f16") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("fgseg info: argument --precision: invalid choice")
+
+
 def test_synth_requires_out(tmp_path, capsys):
     assert run("synth", "--frames", 4) == 2
     err = capsys.readouterr().err
@@ -118,6 +125,22 @@ def test_manifest_with_repeated_index_fails_before_training(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "duplicate" in err and "[3]" in err
+    assert not weights.exists()
+
+
+def test_all_void_frame_fails_before_training(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert run("synth", "--out", scene, "--frames", 6, "--width", 16,
+               "--height", 16) == 0
+    netpbm.write_pgm(scene / "groundtruth" / "gt000004.pgm",
+                     np.full((16, 16), data.CODE_UNKNOWN, np.uint8))
+    capsys.readouterr()
+    weights = tmp_path / "m.fgsn"
+    assert run("train", "--data", scene, "--frames", 6, "--epochs", 1,
+               "--weights-out", weights) == 1
+    out, err = capsys.readouterr()
+    assert err == "fgseg train: frame 3: no supervised pixels (all void)\n"
+    assert "epoch 1/1" not in out
     assert not weights.exists()
 
 

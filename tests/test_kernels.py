@@ -9,6 +9,7 @@ from fgseg.kernels import (
     concat_depth,
     concat_depth_backward,
     conv2d_backward,
+    conv2d_backward_shared,
     conv2d_forward,
     dropout,
     dropout_backward,
@@ -158,6 +159,26 @@ def test_conv2d_backward_grad_selection():
     assert gw is None and gb is None and gx is not None
     gx2, gw2, _ = conv2d_backward(np.ones_like(y), ctx, need_input_grad=False)
     assert gx2 is None and gw2 is not None
+
+
+def test_conv2d_backward_shared_matches_per_input_sum():
+    # one weight set over three inputs of different sizes, as the encoder
+    # runs over the pyramid scales: one GEMM against the per-input sum
+    rng = np.random.default_rng(5)
+    spec = ConvSpec.same(3, 3, 4)
+    w = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    ctxs, probes = [], []
+    for h, wd in ((8, 12), (4, 6), (2, 4)):
+        y, ctx = conv2d_forward(rng.standard_normal((3, h, wd)), w, b, spec)
+        ctxs.append(ctx)
+        probes.append(rng.standard_normal(y.shape))
+    gxs, gw, gb = conv2d_backward_shared(probes, ctxs)
+    plain = [conv2d_backward(g, c) for g, c in zip(probes, ctxs)]
+    assert oracles.max_rel_error(gw, sum(p[1] for p in plain)) < 1e-12
+    assert oracles.max_rel_error(gb, sum(p[2] for p in plain)) < 1e-12
+    for gx, (want, _, _) in zip(gxs, plain, strict=True):
+        assert oracles.max_rel_error(gx, want) < 1e-12
 
 
 # tconv2d ---------------------------------------------------------------

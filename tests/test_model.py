@@ -3,7 +3,14 @@ import pytest
 
 import oracles
 from fgseg import model as M
-from fgseg.kernels import ShapeError
+from fgseg.kernels import (
+    ShapeError,
+    conv2d_backward,
+    dropout_backward,
+    pointwise_activation_backward,
+    tconv2d_backward,
+    upsample_nearest_backward,
+)
 from fgseg.model import (
     ALL_DEFS,
     DECODER_L2,
@@ -129,9 +136,10 @@ def test_forward_probability_map(small_model):
     out = forward(small_model, build_pyramid(img), tape=tape)
     assert out.shape == (1, 64, 64)
     assert np.all(out > 0.0) and np.all(out < 1.0)
-    # layer entries only, no markers between the scales and the decoder
-    assert {e[0] for e in tape} == {"conv", "relu", "dropout", "pool",
-                                    "tconv", "sigmoid"}
+    # layer entries only, no markers between the scales and the decoder, and
+    # only the trainable layers: backward never reads a frozen one
+    assert {e[0] for e in tape} == {"conv", "relu", "dropout", "tconv", "sigmoid"}
+    assert {e[1] for e in tape} - {None} == {p.name for p in small_model.trainable_layers()}
     # the first decoder entry takes the three 512-channel scale features
     first_dec = next(e for e in tape if e[0] == "tconv")
     assert first_dec[1] == "dec.b5.t1x1a"
@@ -251,8 +259,74 @@ def test_backward_rejects_single_scale_tape(small_model):
     tape = []
     feats = encode_scale(small_model, img, training=True,
                          rng=np.random.default_rng(0), tape=tape)
-    with pytest.raises(ValueError, match="enc.b1.c1"):
+    with pytest.raises(ValueError, match="enc.b4.c1"):
         backward(small_model, tape, np.ones_like(feats))
+
+
+# fast paths against the plain path -------------------------------------
+
+def _odd_scale_pyramid(dtype):
+    # 20x36: the coarser levels (10x18, 5x9) need padding to multiples of 4
+    img = np.random.default_rng(70).uniform(0, 255, size=(3, 20, 36))
+    return build_pyramid(img.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_trunk_forward_is_bit_identical(dtype):
+    m = build_model(seed=1, dtype=dtype)
+    pyr = _odd_scale_pyramid(dtype)
+    trunk = M.frozen_trunk(m, pyr)
+    assert np.array_equal(forward(m, trunk), forward(m, pyr))
+    tapes = ([], [])
+    outs = [forward(m, x, training=True, rng=np.random.default_rng(5), tape=t)
+            for x, t in zip((pyr, trunk), tapes)]
+    assert np.array_equal(outs[0], outs[1])
+    assert [e[:2] for e in tapes[0]] == [e[:2] for e in tapes[1]]
+
+
+def _plain_backward(tape, grad_out):
+    """Reference: the tape walked entry by entry, one scale at a time,
+    through the single-input kernels; encoder gradients summed over scales."""
+    ops = {"conv": conv2d_backward, "tconv": tconv2d_backward,
+           "relu": pointwise_activation_backward,
+           "sigmoid": pointwise_activation_backward, "dropout": dropout_backward}
+    grads = {}
+
+    def walk(entries, g):
+        for kind, name, ctx in reversed(entries):
+            if name is None:
+                g = ops[kind](g, ctx)
+                continue
+            g, gw, gb = ops[kind](g, ctx, need_input_grad=name != "enc.b4.c1")
+            old = grads.get(name, (0.0, 0.0))
+            grads[name] = (old[0] + gw, old[1] + gb)
+        return g
+
+    per_scale = next(i for i, e in enumerate(tape) if e[0] == "tconv") // 3
+    g = walk(tape[3 * per_scale:], grad_out)
+    for s in range(3):
+        entries = tape[s * per_scale:(s + 1) * per_scale]
+        h, w = entries[-3][2][2]   # input grid of enc.b4.c3 at this scale
+        part = g[512 * s:512 * (s + 1)]
+        part = np.pad(part, ((0, 0), (0, h * 2 ** s - part.shape[1]),
+                             (0, w * 2 ** s - part.shape[2])))
+        walk(entries, upsample_nearest_backward(part, 2 ** s))
+    return grads
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_scale_fused_backward_matches_per_scale_sum(dtype, tol):
+    m = build_model(seed=2, dtype=dtype)
+    tape = []
+    out = forward(m, _odd_scale_pyramid(dtype), training=True,
+                  rng=np.random.default_rng(6), tape=tape)
+    probe = np.random.default_rng(7).standard_normal(out.shape).astype(dtype)
+    fused, plain = backward(m, tape, probe), _plain_backward(tape, probe)
+    assert set(fused) == set(plain) == {p.name for p in m.trainable_layers()}
+    for name, want in plain.items():
+        for got, ref in zip(fused[name], want):
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), name
 
 
 # serialization ---------------------------------------------------------
@@ -355,6 +429,9 @@ def test_encoder_container_shape_mismatch_names_layer(small_model, tmp_path):
 
 def test_state_snapshot_roundtrip(small_model):
     state = get_state(small_model)
+    # frozen blocks 1-3 never change, so a snapshot holds trainable layers only
+    assert set(state) == {p.name for p in small_model.trainable_layers()}
+    assert not any(n.startswith(("enc.b1", "enc.b2", "enc.b3")) for n in state)
     saved = small_model["dec.b9.t1x1"].weights.copy()
     small_model["dec.b9.t1x1"].weights += 1.0
     set_state(small_model, state)
