@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        ns, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.exit(2, f"{self.prog} {ns.command}: unrecognized arguments: "
+                         f"{' '.join(extra)}\n")
+        return ns
+
 
 def _build_parser(data, training):
     """Defaults come from the library's own config dataclasses."""

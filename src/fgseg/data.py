@@ -74,7 +74,7 @@ def decode_label(gt_image) -> LabelMask:
     if arr.ndim != 2:
         raise ShapeError(f"decode_label: expected (H, W) grayscale, got {arr.shape}")
     arr = arr.astype(np.uint8)
-    known = _IS_VALID_CODE[arr]
+    known = np.take(_IS_VALID_CODE, arr)
     if not known.all():
         bad = sorted(int(v) for v in np.unique(arr[~known]))
         raise ValueError(f"decode_label: unrecognized gray codes {bad}, "

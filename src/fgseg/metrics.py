@@ -54,23 +54,24 @@ class MetricsReport:
                 self.pwc, self.precision, self.f_measure, self.mcc)
 
 
+def _frame(values, labels: LabelMask, caller):
+    """values as (H, W), a leading 1-axis squeezed, checked against labels."""
+    values = np.asarray(values)
+    if values.ndim == 3 and values.shape[0] == 1:
+        values = values[0]
+    if values.shape != labels.shape:
+        raise ShapeError(f"{caller}: prediction {values.shape} vs "
+                         f"labels {labels.shape}")
+    return values
+
+
 def accumulate(pred, labels: LabelMask) -> ConfusionCounts:
     """Count a binary prediction against ground truth, skipping void pixels."""
-    pred = np.asarray(pred)
-    if pred.ndim == 3 and pred.shape[0] == 1:
-        pred = pred[0]
-    if pred.shape != labels.shape:
-        raise ShapeError(f"accumulate: prediction {pred.shape} vs "
-                         f"labels {labels.shape}")
-    pred = pred.astype(bool)
-    fg = labels.foreground
-    bg = labels.background
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(pred & fg)),
-        fp=int(np.count_nonzero(pred & bg)),
-        fn=int(np.count_nonzero(~pred & fg)),
-        tn=int(np.count_nonzero(~pred & bg)),
-    )
+    pred = _frame(pred, labels, "accumulate").astype(bool, copy=False)
+    fg, bg = labels.foreground, labels.background
+    tp, fp = int(np.count_nonzero(pred & fg)), int(np.count_nonzero(pred & bg))
+    return ConfusionCounts(tp, fp, int(np.count_nonzero(fg)) - tp,
+                           int(np.count_nonzero(bg)) - fp)
 
 
 def _ratio(num, den, name, degenerate):
@@ -126,15 +127,16 @@ def threshold_sweep(prob_maps, label_masks, thresholds) -> SweepResult:
                              f"got {a} then {b}")
     if thresholds[0] <= 0.0 or thresholds[-1] >= 1.0:
         raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
-    counts = []
-    for t in thresholds:
-        c = ConfusionCounts()
-        for probs, labels in zip(prob_maps, label_masks):
-            p = np.asarray(probs)
-            if p.ndim == 3 and p.shape[0] == 1:
-                p = p[0]
-            c = c + accumulate(p > t, labels)
-        counts.append(c)
+    hits = np.zeros((len(thresholds), 2), dtype=np.int64)  # (tp, fp) per t
+    n_fg = n_bg = 0
+    for probs, labels in zip(prob_maps, label_masks):
+        p = _frame(probs, labels, "threshold_sweep")
+        pf, pb = p[labels.foreground], p[labels.background]  # once, for all t
+        hits += [(np.count_nonzero(pf > t), np.count_nonzero(pb > t))
+                 for t in thresholds]
+        n_fg, n_bg = n_fg + pf.size, n_bg + pb.size
+    counts = [ConfusionCounts(tp, fp, n_fg - tp, n_bg - fp)
+              for tp, fp in hits.tolist()]
     reports = [compute_metrics(c) for c in counts]
     best = int(np.argmax([r.f_measure for r in reports]))
     return SweepResult(tuple(thresholds), tuple(counts), tuple(reports),

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,12 @@ def test_usage_error_is_one_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("fgseg info: argument --precision: invalid choice")
+
+
+def test_unknown_flag_names_the_command(capsys):
+    assert exit_code("info", "--bogus") == 2
+    err = capsys.readouterr().err
+    assert err == "fgseg info: unrecognized arguments: --bogus\n"
 
 
 def test_synth_requires_out(tmp_path, capsys):
@@ -371,8 +378,12 @@ def test_module_entry_point_runs_in_a_fresh_process():
     # A minimal environment, so that no inherited BLAS thread variable can
     # stand in for FGSEG_THREADS; PYTHONPATH points the child at the same
     # copy of the package that this process imported (checkout or install).
+    # Passing PYTHONDONTWRITEBYTECODE on keeps a no-bytecode run from
+    # leaving a __pycache__ in the source tree.
     env = {"PATH": "/usr/bin:/bin", "FGSEG_THREADS": "1",
            "PYTHONPATH": str(Path(fgseg.__file__).resolve().parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "fgseg.cli", "info"],
         capture_output=True, text=True, env=env, timeout=300)

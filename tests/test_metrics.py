@@ -157,6 +157,32 @@ def test_sweep_finds_best_threshold():
     assert sweep.best_f == 1.0
 
 
+def test_sweep_matches_per_threshold_accumulate():
+    # The sweep gathers each frame's labelled pixels once for all thresholds;
+    # the plain path binarises every frame at every threshold.
+    rng = np.random.default_rng(56)
+    thresholds = [0.1, 0.25, 0.5, 0.8, 0.9]
+    codes = np.array([0, 50, 85, 170, 255], dtype=np.uint8)
+    for dtype in (np.float32, np.float64):
+        probs, labels = [], []
+        for k, shape in enumerate([(7, 9), (12, 5), (16, 16), (3, 20)]):
+            p = rng.uniform(size=shape).astype(dtype)
+            raw = rng.choice(codes, size=shape)
+            # a tie at every threshold, in the map's own dtype, on both a
+            # foreground and a background pixel; then a NaN and every code
+            p.flat[:10] = np.repeat(np.array(thresholds, dtype=dtype), 2)
+            raw.flat[:10] = [255, 0] * 5
+            p.flat[10] = np.nan
+            raw.flat[-5:] = codes
+            probs.append(p[None] if k % 2 else p)
+            labels.append(LabelMask(raw))
+        sweep = threshold_sweep(probs, labels, thresholds)
+        for t, c in zip(thresholds, sweep.counts):
+            plain = sum((accumulate(p > t, lab)
+                         for p, lab in zip(probs, labels)), ConfusionCounts())
+            assert c == plain, (dtype, t)
+
+
 def test_sweep_validation():
     probs = [np.zeros((2, 2), dtype=np.float32)]
     labels = [LabelMask(np.zeros((2, 2), dtype=np.uint8))]
@@ -166,6 +192,8 @@ def test_sweep_validation():
         threshold_sweep(probs, labels, [0.5, 0.5])
     with pytest.raises(ValueError, match="in \\(0, 1\\)"):
         threshold_sweep(probs, labels, [0.0, 0.5])
+    with pytest.raises(ShapeError, match="threshold_sweep"):
+        threshold_sweep([np.zeros((2, 3), dtype=np.float32)], labels, [0.5])
 
 
 # aggregation -------------------------------------------------------------
