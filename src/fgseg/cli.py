@@ -10,6 +10,7 @@ import csv
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -252,7 +253,7 @@ def cmd_train(cfg, data, model, training):
     model.save_weights(net, weights_path)
     history_path = Path(cfg.out) if cfg.out else weights_path.with_suffix(".history.csv")
     history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "w", newline="") as fh:
+    with data.atomic_write(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "train_loss", "val_loss", "lr", "checkpoint"))
         for epoch, (tl, vl, lr) in enumerate(zip(history.train_loss,
@@ -279,6 +280,7 @@ def _segment_inputs(cfg, data):
 
 
 def cmd_segment(cfg, data, model, pyramid):
+    import numpy as np
     net = model.load_weights(cfg.weights_in)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,16 +288,20 @@ def cmd_segment(cfg, data, model, pyramid):
     if cfg.probs:
         probs_dir = Path(cfg.probs)
         probs_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
+    seconds = []
     for number, frame in _segment_inputs(cfg, data):
+        start = time.perf_counter()
         padded, extents = data.pad_to_multiple_of_4(frame)
         probs = model.forward(net, pyramid.build_pyramid(padded))
         probs = data.crop_back(probs, extents)
         data.write_mask(probs, cfg.threshold, out_dir / f"bin{number:06d}.pgm")
         if probs_dir is not None:
             data.write_prob_map(probs, probs_dir / f"prob{number:06d}.pgm")
-        count += 1
-    print(f"segment: wrote {count} masks to {out_dir} (threshold {_fmt(cfg.threshold)})")
+        seconds.append(time.perf_counter() - start)
+    print(f"segment: wrote {len(seconds)} masks to {out_dir} (threshold {_fmt(cfg.threshold)})")
+    p50, p95 = np.percentile(seconds, [50, 95]) * 1e3
+    print(f"segment: {len(seconds)} frames, {len(seconds) / sum(seconds):.3f} frames/s, "
+          f"latency p50 {p50:.1f} ms p95 {p95:.1f} ms")
     return 0
 
 
@@ -347,7 +353,7 @@ def cmd_evaluate(cfg, data, metrics):
     if flagged:
         print(f"degenerate ratios (0/0 reported as 0): {', '.join(flagged)}")
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+        with data.atomic_write(cfg.out, "w", newline="") as fh:
             metrics.emit_csv(rows, fh)
         print(f"wrote {cfg.out}")
     return 0
@@ -372,7 +378,7 @@ def cmd_sweep(cfg, data, metrics):
     print(f"best threshold: {result.best_threshold:.1f} "
           f"(F-Measure={best.f_measure:.4f})")
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+        with data.atomic_write(cfg.out, "w", newline="") as fh:
             metrics.emit_csv(rows, fh)
         print(f"wrote {cfg.out}")
     return 0

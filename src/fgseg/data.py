@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import ShapeError
-from .netpbm import read_netpbm, write_pgm, write_ppm
+from .netpbm import atomic_write, read_netpbm, write_pgm, write_ppm
 
 CODE_BACKGROUND = 0
 CODE_SHADOW = 50
@@ -372,7 +372,8 @@ def write_synth_dataset(config: SynthConfig, root):
         rgb = np.rint(frame.transpose(1, 2, 0)).clip(0, 255).astype(np.uint8)
         write_ppm(root / "input" / f"in{i:06d}.ppm", rgb)
         write_pgm(root / "groundtruth" / f"gt{i:06d}.pgm", labels.raw)
-    (root / "temporalROI.txt").write_text(f"1 {len(frames)}\n")
+    with atomic_write(root / "temporalROI.txt", "w") as fh:
+        fh.write(f"1 {len(frames)}\n")
     write_pgm(root / "ROI.pgm", np.full((config.height, config.width), 255, np.uint8))
     return root
 

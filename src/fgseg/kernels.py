@@ -1,14 +1,24 @@
 """Dense layer primitives: forward and backward passes on (C, H, W) arrays.
 
 All functions are pure: a forward pass returns ``(output, ctx)`` where ``ctx``
-carries whatever the matching backward pass needs (inputs, masks, argmax
-maps).  Arrays are numpy ndarrays in channel-major layout; float32 by
-default, float64 for gradient checking.  Any non-finite value produced by an
+carries whatever the matching backward pass needs, and no more:
+
+- conv2d: ``(padded input, weights, (H, W), spec)``; backward rebuilds the
+  patch columns from the padded input;
+- tconv2d: ``(input, weights, spec)``;
+- maxpool2x2: the input; backward finds each window's argmax;
+- ReLU: ``("relu", output)``, since the output is > 0 exactly where the input
+  is; sigmoid: ``("sigmoid", output)``;
+- dropout: ``(keep mask, scale)``, or None at inference.
+
+Arrays are numpy ndarrays in channel-major layout; float32 by default,
+float64 for gradient checking.  Any non-finite value produced by an
 operation raises ``NonFiniteError`` instead of propagating.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +106,9 @@ def _pad_hw(x, ph, pw):
     return np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
 
 
-def _im2col(x, kh, kw, stride, ho, wo):
-    """(C, H, W) -> (C*kh*kw, ho*wo) patch matrix for a stride-s convolution."""
+def _im2col(x, kh, kw, stride, ho, wo, out):
+    """Copy the patches of a stride-s convolution over x (C, H, W) into out,
+    a (C*kh*kw, ho*wo) matrix or a column slice of one; returns out."""
     c = x.shape[0]
     sc, sh, sw = x.strides
     windows = as_strided(
@@ -106,7 +117,8 @@ def _im2col(x, kh, kw, stride, ho, wo):
         strides=(sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return windows.reshape(c * kh * kw, ho * wo)
+    np.copyto(out.reshape(c, kh, kw, ho, wo), windows)
+    return out
 
 
 def _col2im(cols, c, h, w, kh, kw, stride, ho, wo):
@@ -120,6 +132,22 @@ def _col2im(cols, c, h, w, kh, kw, stride, ho, wo):
 
 
 # ---------------------------------------------------------------- convolution
+
+_BAND_BYTES = 8 << 20
+_BAND_MIN_COLS = 4  # per output channel, as each band's GEMM reads all weights
+_BAND_ALIGN = 64    # columns; BLAS sums a GEMM's ragged last columns apart
+
+
+def _band_rows(ho, wo, row_bytes, c_out):
+    """Output rows per im2col band, for row_bytes of columns per row.  The
+    bands are even, at least _BAND_BYTES and _BAND_MIN_COLS * c_out columns
+    each, so one band's columns stay under 2 * _BAND_BYTES where they can.
+    Every band but the last spans a multiple of _BAND_ALIGN columns, which
+    keeps the output bit-identical to one GEMM over all columns."""
+    bands = max(1, min(ho * row_bytes // _BAND_BYTES, ho * wo // (_BAND_MIN_COLS * c_out)))
+    step = _BAND_ALIGN // math.gcd(wo, _BAND_ALIGN)
+    return min(ho, -(-ho // bands // step) * step)
+
 
 def conv2d_forward(x, w, b, spec: ConvSpec):
     """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias."""
@@ -136,14 +164,23 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
     h, wd = x.shape[1:]
     ho, wo = spec.conv_out_hw(h, wd)
     xp = _pad_hw(x, spec.pad_h, spec.pad_w)
-    cols = np.ascontiguousarray(_im2col(xp, spec.kernel_h, spec.kernel_w,
-                                        spec.stride, ho, wo))
-    y = w.reshape(spec.out_channels, -1) @ cols
-    y += b[:, None]
-    y = y.reshape(spec.out_channels, ho, wo)
-    ensure_finite(y, "conv2d")
-    ctx = (cols, w, (h, wd), spec)
-    return y, ctx
+    w2 = w.reshape(spec.out_channels, -1)
+    k = w2.shape[1]
+    y = np.empty((spec.out_channels, ho * wo), dtype=np.result_type(xp, w))
+    # im2col one band of output rows at a time, into one reused buffer that
+    # stays in cache; each band's GEMM writes straight into its rows of y
+    rows = _band_rows(ho, wo, k * wo * xp.itemsize, spec.out_channels)
+    buf = np.empty(k * rows * wo, dtype=xp.dtype)
+    for r0 in range(0, ho, rows):
+        nr = min(rows, ho - r0)
+        cols = _im2col(xp[:, r0 * spec.stride:], spec.kernel_h, spec.kernel_w,
+                       spec.stride, nr, wo, buf[:k * nr * wo].reshape(k, nr * wo))
+        band = y[:, r0 * wo:(r0 + nr) * wo]
+        np.matmul(w2, cols, out=band)
+        band += b[:, None]
+        ensure_finite(band, "conv2d")
+    ctx = (xp, w, (h, wd), spec)
+    return y.reshape(spec.out_channels, ho, wo), ctx
 
 
 def conv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True):
@@ -166,7 +203,15 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True,
     g = _hstack([g.reshape(spec.out_channels, -1) for g in grads_out])
     grad_xs = grad_w = grad_b = None
     if need_weight_grad:
-        grad_w = (g @ _hstack([c[0] for c in ctxs]).T).reshape(w.shape)
+        # every input's columns, side by side in the one matrix of the GEMM
+        cols = np.empty((w[0].size, g.shape[1]), dtype=ctxs[0][0].dtype)
+        start = 0
+        for xp, _, (h, wd), _ in ctxs:
+            ho, wo = spec.conv_out_hw(h, wd)
+            _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride, ho, wo,
+                    cols[:, start:start + ho * wo])
+            start += ho * wo
+        grad_w = (g @ cols.T).reshape(w.shape)
         grad_b = g.sum(axis=1)
         ensure_finite(grad_w, "conv2d backward")
     if need_input_grad:
@@ -208,18 +253,48 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
         raise ShapeError(f"tconv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
     h, wd = x.shape[1:]
     ho, wo = spec.tconv_out_hw(h, wd)
-    # Scatter into the "full" grid (stride-spaced windows), then crop padding.
-    # op extra zeros on the bottom/right keep the crop in bounds.
-    full_h = (h - 1) * spec.stride + spec.kernel_h + spec.output_pad
-    full_w = (wd - 1) * spec.stride + spec.kernel_w + spec.output_pad
-    cols = w.reshape(spec.in_channels, -1).T @ x.reshape(spec.in_channels, -1)
-    full = _col2im(cols, spec.out_channels, full_h, full_w,
-                   spec.kernel_h, spec.kernel_w, spec.stride, h, wd)
-    y = full[:, spec.pad_h:spec.pad_h + ho, spec.pad_w:spec.pad_w + wo]
-    y = y + b[:, None, None]
+    s = spec.stride
+    # Output pixel i takes tap a from input row m = (i + pad - a) / s where
+    # that divides, so output phase p = i mod s sums, over its taps, one
+    # stride-1 GEMM each on the input shifted by d = (p + pad - a) / s.
+    phases_h, qh = _phase_taps(s, spec.kernel_h, spec.pad_h, ho, h)
+    phases_w, qw = _phase_taps(s, spec.kernel_w, spec.pad_w, wo, wd)
+    q = max(qh, qw)
+    # zero-pad by q, plus a row below, so every tap is a flat view over
+    # (rows, wd + 2q) whose last row may run past the right edge
+    shifted = q or any(d for _, taps in phases_h + phases_w for _, d in taps)
+    xp = np.pad(x, ((0, 0), (q, q + 1), (q, q))) if shifted else x
+    wp = wd + 2 * q
+    flat = xp.reshape(spec.in_channels, -1)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    y = np.empty((spec.out_channels, ho, wo), dtype=np.result_type(x, w))
+    # phase 0 has the most rows; later phases use the front of the buffers
+    acc = np.empty((spec.out_channels, phases_h[0][0] * wp), y.dtype)
+    tap = np.empty_like(acc)
+    for py, (nh, taps_h) in enumerate(phases_h):
+        for px, (nw, taps_w) in enumerate(phases_w):
+            n = nh * wp
+            # sum taps in _col2im's (a, b) order, so sums match it bit for bit
+            taps = [(i, j, (di + q) * wp + dj + q) for i, di in taps_h for j, dj in taps_w]
+            for t, (i, j, start) in enumerate(taps):
+                np.matmul(wt[i, j].T, flat[:, start:start + n], out=(tap if t else acc)[:, :n])
+                if t:
+                    acc[:, :n] += tap[:, :n]
+            phase = acc[:, :n].reshape(spec.out_channels, nh, wp)[:, :, :nw] if taps else 0
+            np.add(phase, b[:, None, None], out=y[:, py::s, px::s])
     ensure_finite(y, "tconv2d")
     ctx = (x, w, spec)
     return y, ctx
+
+
+def _phase_taps(s, k, pad, n_out, n_in):
+    """Along one axis, per output phase p < s: (its output count, [(tap a,
+    input shift d)] for the taps that reach it, in increasing a); and the
+    zero padding that keeps every shifted view inside the input."""
+    phases = [(len(range(p, n_out, s)),
+               [(a, (p + pad - a) // s) for a in range(k) if (p + pad - a) % s == 0])
+              for p in range(min(s, n_out))]
+    return phases, max([0] + [max(-d, d + n - n_in) for n, taps in phases for _, d in taps])
 
 
 def tconv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True):
@@ -234,8 +309,8 @@ def tconv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True)
     full_w = (wd - 1) * spec.stride + spec.kernel_w + spec.output_pad
     gfull = np.zeros((spec.out_channels, full_h, full_w), dtype=grad_out.dtype)
     gfull[:, spec.pad_h:spec.pad_h + ho, spec.pad_w:spec.pad_w + wo] = grad_out
-    cols = np.ascontiguousarray(_im2col(gfull, spec.kernel_h, spec.kernel_w,
-                                        spec.stride, h, wd))
+    cols = _im2col(gfull, spec.kernel_h, spec.kernel_w, spec.stride, h, wd,
+                   np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
     grad_x = grad_w = grad_b = None
     if need_input_grad:
         grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
@@ -250,27 +325,28 @@ def tconv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True)
 # -------------------------------------------------------------------- pooling
 
 def maxpool2x2_forward(x):
-    """2x2 max pooling with stride 2; also returns the argmax map."""
+    """2x2 max pooling with stride 2: the max of the four strided views.
+    The ctx is the input; backward finds each window's argmax."""
     _check_chw(x, "maxpool2x2")
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial extents must be even, got {h}x{w}")
-    win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
-        c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=3)
-    y = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+    y = np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                   np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
     ensure_finite(y, "maxpool2x2")
-    return y, (idx, x.shape)
+    return y, x
 
 
 def maxpool2x2_backward(grad_out, ctx):
-    idx, in_shape = ctx
-    c, h, w = in_shape
+    """Routes each gradient to the first max of its window, in row order."""
+    c, h, w = ctx.shape
     if grad_out.shape != (c, h // 2, w // 2):
         raise ShapeError(f"maxpool2x2 backward: grad shaped {grad_out.shape}, "
                          f"expected ({c},{h // 2},{w // 2})")
+    win = ctx.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // 2, w // 2, 4)
     scatter = np.zeros((c, h // 2, w // 2, 4), dtype=grad_out.dtype)
-    np.put_along_axis(scatter, idx[..., None], grad_out[..., None], axis=3)
+    np.put_along_axis(scatter, win.argmax(axis=3)[..., None], grad_out[..., None], axis=3)
     return scatter.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
 
 
@@ -280,7 +356,7 @@ def pointwise_activation(x, kind):
     """Elementwise ReLU or sigmoid; returns (y, ctx) for the backward pass."""
     if kind == "relu":
         y = np.maximum(x, 0)
-        ctx = ("relu", x > 0)
+        ctx = ("relu", y)  # y > 0 exactly where x > 0
     elif kind == "sigmoid":
         out = np.empty_like(x)
         pos = x >= 0
@@ -298,7 +374,7 @@ def pointwise_activation(x, kind):
 def pointwise_activation_backward(grad_out, ctx):
     kind, cached = ctx
     if kind == "relu":
-        return grad_out * cached
+        return grad_out * (cached > 0)
     return grad_out * cached * (1.0 - cached)
 
 

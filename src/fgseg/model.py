@@ -37,6 +37,7 @@ from .kernels import (
     upsample_nearest,
     upsample_nearest_backward,
 )
+from .netpbm import atomic_write
 from .pyramid import PyramidTriple
 
 DROPOUT_RATE = 0.5
@@ -352,7 +353,7 @@ def save_weights(model: ModelParams, path):
     for p in model.layers.values():
         entries.append((f"{p.name}.weight", p.weights, p.trainable, p.l2))
         entries.append((f"{p.name}.bias", p.bias, p.trainable, 0.0))
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
         for name, arr, trainable, l2 in entries:

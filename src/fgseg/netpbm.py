@@ -2,10 +2,15 @@
 
 8-bit for maxval <= 255, big-endian 16-bit above that, per the format spec.
 These two formats are the package's only mandatory image codecs; everything
-else goes through the pluggable reader registry in data.py.
+else goes through the pluggable reader registry in data.py.  Every file the
+package writes goes through atomic_write.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -81,13 +86,28 @@ def _format_raster(arr, channels, what):
     return header + payload
 
 
+@contextmanager
+def atomic_write(path, mode="wb", **kwargs):
+    """Open a temp file beside path for writing; it replaces path only when
+    the block completes, so an error leaves the old file and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_pgm(path, arr):
     """Write a 2-D uint8/uint16 array as binary PGM."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_format_raster(arr, 1, "write_pgm"))
 
 
 def write_ppm(path, arr):
     """Write an (H, W, 3) uint8/uint16 array as binary PPM."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_format_raster(arr, 3, "write_ppm"))

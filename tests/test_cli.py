@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,14 @@ def test_segment_writes_one_mask_per_frame(tmp_path, trained, capsys):
     assert mask.shape == (16, 16)
     pm = data.read_prob_map(probs / "prob000001.pgm")
     assert pm.shape == (16, 16) and pm.min() >= 0.0 and pm.max() <= 1.0
+
+
+def test_segment_ends_with_throughput_and_latency(tmp_path, trained, capsys):
+    assert run("segment", "--synthetic", "--width", 16, "--height", 16,
+               "--frames", 2, "--weights-in", trained, "--out", tmp_path / "m") == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"segment: 2 frames, \d+\.\d{3} frames/s, "
+                        r"latency p50 \d+\.\d ms p95 \d+\.\d ms", last), last
 
 
 def test_segment_twice_is_byte_identical(tmp_path, trained):

@@ -23,7 +23,7 @@ from fgseg.data import (
     read_prob_map,
     write_synth_dataset,
 )
-from fgseg.netpbm import read_netpbm, write_pgm, write_ppm
+from fgseg.netpbm import atomic_write, read_netpbm, write_pgm, write_ppm
 
 
 # netpbm codecs ---------------------------------------------------------
@@ -52,6 +52,20 @@ def test_ppm_roundtrip(tmp_path):
     p = tmp_path / "x.ppm"
     write_ppm(p, img)
     assert np.array_equal(read_netpbm(p), img)
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
+    p = tmp_path / "a.pgm"
+    old = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    write_pgm(p, old)
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_write(p) as fh:
+            fh.write(b"P5\n4 3\n255\n")
+            raise RuntimeError("midway")
+    with pytest.raises(ValueError, match="dtype"):
+        write_pgm(p, old.astype(np.float32))
+    assert np.array_equal(read_netpbm(p), old)
+    assert [q.name for q in tmp_path.iterdir()] == ["a.pgm"]
 
 
 def test_netpbm_header_comments(tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from fgseg import kernels
 from fgseg.kernels import (
     ConvSpec,
     NonFiniteError,
@@ -181,6 +184,53 @@ def test_conv2d_backward_shared_matches_per_input_sum():
         assert oracles.max_rel_error(gx, want) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("ho,wo", [(23, 16), (70, 17)])
+def test_conv2d_bands_match_one_gemm(monkeypatch, ho, wo, stride, dtype):
+    rng = np.random.default_rng(26)
+    spec = ConvSpec(3, 3, stride, 1, 1, 5, 6)
+    x = rng.standard_normal((5, ho * stride, wo * stride)).astype(dtype)
+    w = rng.standard_normal((6, 5, 3, 3)).astype(dtype)
+    b = rng.standard_normal(6).astype(dtype)
+    assert spec.conv_out_hw(*x.shape[1:]) == (ho, wo)
+    row_bytes = 5 * 9 * wo * x.itemsize
+    monkeypatch.setattr(kernels, "_BAND_MIN_COLS", 1)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", ho * row_bytes)
+    assert kernels._band_rows(ho, wo, row_bytes, 6) == ho
+    one, _ = conv2d_forward(x, w, b, spec)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 4 * row_bytes)
+    rows = kernels._band_rows(ho, wo, row_bytes, 6)
+    assert rows < ho and 0 < ho % rows  # several bands, a short last one
+    banded, _ = conv2d_forward(x, w, b, spec)
+    assert np.array_equal(banded, one)
+    if dtype == np.float64:
+        ref = oracles.conv2d_dot(x, w, b, stride=stride, pad=1)
+        assert np.max(np.abs(banded - ref)) < 1e-12
+    # every band is checked, the short last one included
+    x[:, -1, -1] = np.nan
+    with pytest.raises(NonFiniteError, match="conv2d"):
+        conv2d_forward(x, w, b, spec)
+
+
+def test_conv2d_peak_memory_stays_within_two_bands():
+    # the widest frozen layer on a 320x240 frame; one full-frame column
+    # matrix (177 MB) would take the peak far over this bound
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((64, 240, 320), dtype=np.float32)
+    w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32)
+    b = np.zeros(64, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        y, ctx = conv2d_forward(x, w, b, ConvSpec.same(3, 64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and the padded input (the ctx) live on after the call;
+    # the band buffer may hold up to twice the 8 MiB band budget
+    assert peak < y.nbytes + ctx[0].nbytes + 2 * 8 * 2**20
+
+
 # tconv2d ---------------------------------------------------------------
 
 def test_tconv2d_centered_delta_places_inputs_on_stride_grid():
@@ -229,6 +279,45 @@ def test_tconv2d_matches_zero_stuff_oracle(kernel, stride, pad, opad):
     ref = oracles.tconv2d_zero_stuff(x, w, b, stride=stride, pad=pad, output_pad=opad)
     assert y.shape == ref.shape
     assert oracles.max_rel_error(y, ref) < 1e-10
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("h,w", [(5, 7), (6, 8), (6, 7)])
+@pytest.mark.parametrize("kernel,stride,pad,opad", [
+    (1, 1, 0, 0),
+    (3, 1, 1, 0),
+    (5, 2, 2, 1),
+    (2, 2, 1, 0),  # shifted taps with no zero padding
+    (1, 2, 0, 1),  # phases no tap reaches hold the bias alone
+])
+def test_tconv2d_phases_match_zero_stuff_oracle(kernel, stride, pad, opad, h, w,
+                                                dtype, tol):
+    rng = np.random.default_rng(28)
+    spec = ConvSpec(kernel, kernel, stride, pad, pad, 4, 3, output_pad=opad)
+    x = rng.standard_normal((4, h, w))
+    k = rng.standard_normal((4, 3, kernel, kernel))
+    b = rng.standard_normal(3)
+    y, ctx = tconv2d_forward(x.astype(dtype), k.astype(dtype), b.astype(dtype), spec)
+    ref = oracles.tconv2d_zero_stuff(x, k, b, stride=stride, pad=pad, output_pad=opad)
+    assert y.dtype == dtype and y.shape == ref.shape
+    assert np.max(np.abs(y - ref)) <= tol * np.max(np.abs(ref))
+    assert np.array_equal(ctx[0], x.astype(dtype))
+
+
+@pytest.mark.parametrize("kernel,stride,pad,opad", [(1, 1, 0, 0), (3, 1, 1, 0), (5, 2, 2, 1)])
+def test_tconv2d_phases_match_scatter_bit_for_bit(kernel, stride, pad, opad):
+    # the plain path: one GEMM into every tap's columns, then a scatter-add
+    rng = np.random.default_rng(29)
+    spec = ConvSpec(kernel, kernel, stride, pad, pad, 16, 8, output_pad=opad)
+    x = rng.standard_normal((16, 9, 11)).astype(np.float32)
+    k = rng.standard_normal((16, 8, kernel, kernel)).astype(np.float32)
+    b = rng.standard_normal(8).astype(np.float32)
+    y, _ = tconv2d_forward(x, k, b, spec)
+    full = kernels._col2im(k.reshape(16, -1).T @ x.reshape(16, -1), 8,
+                           8 * stride + kernel + opad, 10 * stride + kernel + opad,
+                           kernel, kernel, stride, 9, 11)
+    ho, wo = spec.tconv_out_hw(9, 11)
+    assert np.array_equal(y, full[:, pad:pad + ho, pad:pad + wo] + b[:, None, None])
 
 
 def test_tconv2d_is_adjoint_of_conv2d():
@@ -327,6 +416,17 @@ def test_maxpool_backward_tie_goes_to_first():
     assert g[0, 0, 0] == 1.0 and np.count_nonzero(g) == 1
 
 
+def test_maxpool_ctx_is_the_input_and_ties_go_to_first():
+    # small integers tie within most windows
+    x = np.random.default_rng(30).integers(0, 3, size=(3, 6, 8)).astype(np.float32)
+    y, ctx = maxpool2x2_forward(x)
+    assert ctx is x
+    assert np.array_equal(y, oracles.maxpool2x2_loops(x))
+    g = np.random.default_rng(31).standard_normal(y.shape).astype(np.float32)
+    assert np.array_equal(maxpool2x2_backward(g, ctx),
+                          oracles.maxpool2x2_backward_loops(x, g))
+
+
 def test_maxpool_backward_finite_differences():
     rng = np.random.default_rng(12)
     x = spaced(rng, (2, 6, 6))
@@ -374,6 +474,15 @@ def test_relu_backward_passes_grad_where_positive():
     _, ctx = pointwise_activation(x, "relu")
     g = pointwise_activation_backward(np.array([10.0, 20.0, 30.0, 40.0]), ctx)
     assert np.array_equal(g, np.array([10.0, 0.0, 30.0, 0.0]))
+
+
+def test_relu_ctx_marks_exactly_the_positive_inputs():
+    x = np.array([[-2.0, -0.0, 0.0, 1e-300], [3.0, -1e-300, 5.0, -7.0]])
+    before = x.copy()
+    y, (kind, cached) = pointwise_activation(x, "relu")
+    assert kind == "relu" and cached is y
+    assert np.array_equal(cached > 0, x > 0)
+    assert np.array_equal(x, before)  # pure: finite differencing perturbs x
 
 
 @pytest.mark.parametrize("kind", ["relu", "sigmoid"])

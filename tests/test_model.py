@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fgseg import kernels
 from fgseg import model as M
 from fgseg.kernels import (
     ShapeError,
@@ -114,6 +115,46 @@ def test_encode_scale_matches_composed_oracle():
             x = oracles.maxpool2x2_loops(x)
     assert x.shape == got.shape == (512, 2, 2)
     assert oracles.max_rel_error(got, x) < 1e-10
+
+
+def _oracle_network(m, pyr):
+    """Eval forward layer by layer from the standalone oracles."""
+    feats = []
+    for s, image in enumerate(pyr.scales):
+        h, w = image.shape[1:]
+        x = np.pad(image, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
+        for d in M.ENCODER_DEFS:
+            p = m[d.name]
+            x = np.maximum(oracles.conv2d_dot(x, p.weights, p.bias, pad=1), 0.0)
+            if d.pool_after:
+                x = oracles.maxpool2x2_loops(x)
+        feats.append(np.repeat(np.repeat(x, 2 ** s, axis=1), 2 ** s, axis=2))
+    th, tw = feats[0].shape[1:]
+    x = np.concatenate([f[:, :th, :tw] for f in feats])
+    for d in M.DECODER_DEFS:
+        p = m[d.name]
+        stride, opad = (2, 1) if d.upscale else (1, 0)
+        x = oracles.tconv2d_zero_stuff(x, p.weights, p.bias, stride=stride,
+                                       pad=(d.kernel - 1) // 2, output_pad=opad)
+        x = 1.0 / (1.0 + np.exp(-x)) if d is M.DECODER_DEFS[-1] else np.maximum(x, 0.0)
+    return x
+
+
+def test_forward_matches_oracle_network_across_band_seams(monkeypatch):
+    # bands this small split every conv's rows, mostly with a short last
+    # band, so a wrong seam or phase offset shows in the probabilities
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1 << 14)
+    m = build_model(seed=3, dtype=np.float64)
+    rng = np.random.default_rng(64)
+    for p in m.layers.values():
+        p.bias = rng.standard_normal(p.bias.shape) * 0.05
+    m[M.DECODER_DEFS[-1].name].weights *= 100  # spread the map away from 0.5
+    pyr = build_pyramid(rng.uniform(0, 255, size=(3, 44, 52)))
+    got = forward(m, pyr)
+    want = _oracle_network(m, pyr)[:, :44, :52]
+    assert got.shape == want.shape == (1, 44, 52)
+    assert want.std() > 0.1
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_encode_zero_image_is_bias_propagation():
@@ -343,6 +384,20 @@ def test_container_roundtrip_byte_identical(small_model, tmp_path):
         assert loaded[name].trainable == small_model[name].trainable
         # l2 travels as a 32-bit float on the wire
         assert loaded[name].l2 == pytest.approx(small_model[name].l2, rel=1e-6)
+
+
+def test_save_failing_midway_keeps_the_old_container(small_model, tmp_path):
+    path = tmp_path / "w.fgsn"
+    save_weights(small_model, path)
+    before = path.read_bytes()
+    last = ALL_DEFS[-1].name
+    layers = dict(small_model.layers)
+    layers[last] = LayerParams(last, layers[last].weights.astype(np.float16),
+                               layers[last].bias, True)
+    with pytest.raises(KeyError):  # no container code for f16, after 20 layers
+        save_weights(ModelParams(layers), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.fgsn"]
 
 
 def test_container_float64_roundtrip(tmp_path):
