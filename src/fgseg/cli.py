@@ -177,6 +177,8 @@ def validate(cfg):
         _require(cfg, "weights_out")
         if cfg.frames < 5:
             raise ValueError("need at least 5 training frames")
+        from .training import TrainConfig  # main() has pinned the threads by now
+        TrainConfig(epochs=cfg.epochs, lr=cfg.lr)  # its epochs and lr rules
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
     elif cfg.command == "evaluate":

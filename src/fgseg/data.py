@@ -84,16 +84,8 @@ def decode_label(gt_image) -> LabelMask:
 
 # -------------------------------------------------------------- image readers
 
-_READERS = {}
-
-
-def register_reader(extension, fn):
-    """Plug in a decoder for one extension; fn(path) -> uint8 array."""
-    _READERS[extension.lower().lstrip(".")] = fn
-
-
-register_reader("pgm", read_netpbm)
-register_reader("ppm", read_netpbm)
+# extension -> decoder(path) -> uint8 array
+_READERS = {"pgm": read_netpbm, "ppm": read_netpbm}
 
 try:  # optional decoder for the dataset's jpg/png/bmp files
     from PIL import Image as _PILImage
@@ -104,8 +96,7 @@ try:  # optional decoder for the dataset's jpg/png/bmp files
                 im = im.convert("RGB" if im.mode not in ("1", "I;16") else "L")
             return np.asarray(im)
 
-    for _ext in ("png", "jpg", "jpeg", "bmp"):
-        register_reader(_ext, _pil_reader)
+    _READERS.update(dict.fromkeys(("png", "jpg", "jpeg", "bmp"), _pil_reader))
 except ImportError:
     pass
 
@@ -269,7 +260,6 @@ class SynthConfig:
     object_size: int = 10
     speed: float = 2.0
     noise: float = 2.0
-    drift: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -311,7 +301,7 @@ def _dilate8(mask):
 
 
 def synth_sequence(config: SynthConfig):
-    """Moving bright objects over a textured, optionally drifting background.
+    """Moving bright objects over a textured background.
 
     Returns a list of (frame float32 (3,H,W), LabelMask).  Ground truth marks
     object pixels foreground with a 1-px unknown halo around them.
@@ -329,11 +319,10 @@ def synth_sequence(config: SynthConfig):
     vel = [config.speed * np.array([math.sin(a), math.cos(a)]) for a in angles]
 
     frames = []
-    for t in range(config.n_frames):
-        drift_term = config.drift * math.sin(2.0 * math.pi * t / config.n_frames)
+    for _ in range(config.n_frames):
         frame = np.empty((3, h, w), dtype=np.float32)
         for c in range(3):
-            frame[c] = base + tint[c] + drift_term
+            frame[c] = base + tint[c]
         if config.noise > 0:
             frame += rng.normal(0.0, config.noise, size=(3, h, w)).astype(np.float32)
 

@@ -41,24 +41,22 @@ def ensure_finite(arr, op):
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of a (transposed) convolution.
+    """Geometry of a (transposed) convolution with a square kernel.
 
     ``output_pad`` is meaningful for transposed convolutions only and must be
     smaller than the stride.
     """
 
-    kernel_h: int
-    kernel_w: int
+    kernel: int
     stride: int
-    pad_h: int
-    pad_w: int
+    pad: int
     in_channels: int
     out_channels: int
     output_pad: int = 0
 
     def __post_init__(self):
-        if self.kernel_h < 1 or self.kernel_w < 1:
-            raise ShapeError(f"kernel must be >= 1, got {self.kernel_h}x{self.kernel_w}")
+        if self.kernel < 1:
+            raise ShapeError(f"kernel must be >= 1, got {self.kernel}")
         if self.stride < 1:
             raise ShapeError(f"stride must be >= 1, got {self.stride}")
         if not 0 <= self.output_pad < self.stride:
@@ -70,26 +68,24 @@ class ConvSpec:
         """Stride-1 'same' convolution; requires an odd kernel."""
         if kernel % 2 == 0:
             raise ShapeError(f"'same' padding needs an odd kernel, got {kernel}")
-        p = (kernel - 1) // 2
-        return cls(kernel, kernel, 1, p, p, in_channels, out_channels)
+        return cls(kernel, 1, (kernel - 1) // 2, in_channels, out_channels)
 
     @classmethod
     def upscale2x(cls, kernel, in_channels, out_channels):
         """Stride-2 transposed-conv geometry that exactly doubles H and W."""
-        p = (kernel - 1) // 2
-        return cls(kernel, kernel, 2, p, p, in_channels, out_channels, output_pad=1)
+        return cls(kernel, 2, (kernel - 1) // 2, in_channels, out_channels, output_pad=1)
 
     def conv_out_hw(self, h, w):
-        ho = (h + 2 * self.pad_h - self.kernel_h) // self.stride + 1
-        wo = (w + 2 * self.pad_w - self.kernel_w) // self.stride + 1
+        ho = (h + 2 * self.pad - self.kernel) // self.stride + 1
+        wo = (w + 2 * self.pad - self.kernel) // self.stride + 1
         if ho < 1 or wo < 1:
             raise ShapeError(f"input {h}x{w} too small for kernel "
-                             f"{self.kernel_h}x{self.kernel_w} pad {self.pad_h},{self.pad_w}")
+                             f"{self.kernel}x{self.kernel} pad {self.pad}")
         return ho, wo
 
     def tconv_out_hw(self, h, w):
-        ho = (h - 1) * self.stride - 2 * self.pad_h + self.kernel_h + self.output_pad
-        wo = (w - 1) * self.stride - 2 * self.pad_w + self.kernel_w + self.output_pad
+        ho = (h - 1) * self.stride - 2 * self.pad + self.kernel + self.output_pad
+        wo = (w - 1) * self.stride - 2 * self.pad + self.kernel + self.output_pad
         if ho < 1 or wo < 1:
             raise ShapeError(f"transposed conv output would be {ho}x{wo}")
         return ho, wo
@@ -100,10 +96,10 @@ def _check_chw(x, op):
         raise ShapeError(f"{op}: expected (C, H, W) input, got shape {x.shape}")
 
 
-def _pad_hw(x, ph, pw):
-    if ph == 0 and pw == 0:
+def _pad_hw(x, pad):
+    if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
 
 
 def _im2col(x, kh, kw, stride, ho, wo, out):
@@ -155,15 +151,15 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
     if x.shape[0] != spec.in_channels:
         raise ShapeError(f"conv2d: input has {x.shape[0]} channels, "
                          f"spec expects {spec.in_channels}")
-    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
+    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
         raise ShapeError(f"conv2d: weights shaped {w.shape}, spec wants "
                          f"({spec.out_channels},{spec.in_channels},"
-                         f"{spec.kernel_h},{spec.kernel_w})")
+                         f"{spec.kernel},{spec.kernel})")
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"conv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
     h, wd = x.shape[1:]
     ho, wo = spec.conv_out_hw(h, wd)
-    xp = _pad_hw(x, spec.pad_h, spec.pad_w)
+    xp = _pad_hw(x, spec.pad)
     w2 = w.reshape(spec.out_channels, -1)
     k = w2.shape[1]
     y = np.empty((spec.out_channels, ho * wo), dtype=np.result_type(xp, w))
@@ -173,7 +169,7 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
     buf = np.empty(k * rows * wo, dtype=xp.dtype)
     for r0 in range(0, ho, rows):
         nr = min(rows, ho - r0)
-        cols = _im2col(xp[:, r0 * spec.stride:], spec.kernel_h, spec.kernel_w,
+        cols = _im2col(xp[:, r0 * spec.stride:], spec.kernel, spec.kernel,
                        spec.stride, nr, wo, buf[:k * nr * wo].reshape(k, nr * wo))
         band = y[:, r0 * wo:(r0 + nr) * wo]
         np.matmul(w2, cols, out=band)
@@ -183,15 +179,13 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
     return y.reshape(spec.out_channels, ho, wo), ctx
 
 
-def conv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True):
+def conv2d_backward(grad_out, ctx, need_input_grad=True):
     """Gradients of conv2d_forward; returns (grad_x, grad_w, grad_b)."""
-    grad_xs, grad_w, grad_b = conv2d_backward_shared(
-        [grad_out], [ctx], need_input_grad, need_weight_grad)
+    grad_xs, grad_w, grad_b = conv2d_backward_shared([grad_out], [ctx], need_input_grad)
     return grad_xs[0] if need_input_grad else None, grad_w, grad_b
 
 
-def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True,
-                           need_weight_grad=True):
+def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
     """Gradients of one conv2d_forward layer run on several inputs (the
     encoder's pyramid scales); returns ([grad_x], grad_w, grad_b).  Both GEMMs
     span all inputs' columns side by side, summing the weight gradient."""
@@ -201,30 +195,29 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True,
             raise ShapeError(f"conv2d backward: grad shaped {g.shape}, expected "
                              f"{(spec.out_channels, *spec.conv_out_hw(h, wd))}")
     g = _hstack([g.reshape(spec.out_channels, -1) for g in grads_out])
-    grad_xs = grad_w = grad_b = None
-    if need_weight_grad:
-        # every input's columns, side by side in the one matrix of the GEMM
-        cols = np.empty((w[0].size, g.shape[1]), dtype=ctxs[0][0].dtype)
-        start = 0
-        for xp, _, (h, wd), _ in ctxs:
-            ho, wo = spec.conv_out_hw(h, wd)
-            _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride, ho, wo,
-                    cols[:, start:start + ho * wo])
-            start += ho * wo
-        grad_w = (g @ cols.T).reshape(w.shape)
-        grad_b = g.sum(axis=1)
-        ensure_finite(grad_w, "conv2d backward")
+    # every input's columns, side by side in the one matrix of the GEMM
+    cols = np.empty((w[0].size, g.shape[1]), dtype=ctxs[0][0].dtype)
+    start = 0
+    for xp, _, (h, wd), _ in ctxs:
+        ho, wo = spec.conv_out_hw(h, wd)
+        _im2col(xp, spec.kernel, spec.kernel, spec.stride, ho, wo,
+                cols[:, start:start + ho * wo])
+        start += ho * wo
+    grad_w = (g @ cols.T).reshape(w.shape)
+    grad_b = g.sum(axis=1)
+    ensure_finite(grad_w, "conv2d backward")
+    grad_xs = None
     if need_input_grad:
         dcols = w.reshape(spec.out_channels, -1).T @ g
         grad_xs, start = [], 0
         for _, _, (h, wd), _ in ctxs:
             ho, wo = spec.conv_out_hw(h, wd)
             dxp = _col2im(dcols[:, start:start + ho * wo], spec.in_channels,
-                          h + 2 * spec.pad_h, wd + 2 * spec.pad_w,
-                          spec.kernel_h, spec.kernel_w, spec.stride, ho, wo)
+                          h + 2 * spec.pad, wd + 2 * spec.pad,
+                          spec.kernel, spec.kernel, spec.stride, ho, wo)
             start += ho * wo
             grad_xs.append(ensure_finite(
-                dxp[:, spec.pad_h:spec.pad_h + h, spec.pad_w:spec.pad_w + wd],
+                dxp[:, spec.pad:spec.pad + h, spec.pad:spec.pad + wd],
                 "conv2d backward"))
     return grad_xs, grad_w, grad_b
 
@@ -245,10 +238,10 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     if x.shape[0] != spec.in_channels:
         raise ShapeError(f"tconv2d: input has {x.shape[0]} channels, "
                          f"spec expects {spec.in_channels}")
-    if w.shape != (spec.in_channels, spec.out_channels, spec.kernel_h, spec.kernel_w):
+    if w.shape != (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel):
         raise ShapeError(f"tconv2d: weights shaped {w.shape}, spec wants "
                          f"({spec.in_channels},{spec.out_channels},"
-                         f"{spec.kernel_h},{spec.kernel_w})")
+                         f"{spec.kernel},{spec.kernel})")
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"tconv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
     h, wd = x.shape[1:]
@@ -257,8 +250,8 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     # Output pixel i takes tap a from input row m = (i + pad - a) / s where
     # that divides, so output phase p = i mod s sums, over its taps, one
     # stride-1 GEMM each on the input shifted by d = (p + pad - a) / s.
-    phases_h, qh = _phase_taps(s, spec.kernel_h, spec.pad_h, ho, h)
-    phases_w, qw = _phase_taps(s, spec.kernel_w, spec.pad_w, wo, wd)
+    phases_h, qh = _phase_taps(s, spec.kernel, spec.pad, ho, h)
+    phases_w, qw = _phase_taps(s, spec.kernel, spec.pad, wo, wd)
     q = max(qh, qw)
     # zero-pad by q, plus a row below, so every tap is a flat view over
     # (rows, wd + 2q) whose last row may run past the right edge
@@ -297,7 +290,7 @@ def _phase_taps(s, k, pad, n_out, n_in):
     return phases, max([0] + [max(-d, d + n - n_in) for n, taps in phases for _, d in taps])
 
 
-def tconv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True):
+def tconv2d_backward(grad_out, ctx):
     """Gradients of tconv2d_forward; returns (grad_x, grad_w, grad_b)."""
     x, w, spec = ctx
     h, wd = x.shape[1:]
@@ -305,21 +298,15 @@ def tconv2d_backward(grad_out, ctx, need_input_grad=True, need_weight_grad=True)
     if grad_out.shape != (spec.out_channels, ho, wo):
         raise ShapeError(f"tconv2d backward: grad shaped {grad_out.shape}, "
                          f"expected ({spec.out_channels},{ho},{wo})")
-    full_h = (h - 1) * spec.stride + spec.kernel_h + spec.output_pad
-    full_w = (wd - 1) * spec.stride + spec.kernel_w + spec.output_pad
-    gfull = np.zeros((spec.out_channels, full_h, full_w), dtype=grad_out.dtype)
-    gfull[:, spec.pad_h:spec.pad_h + ho, spec.pad_w:spec.pad_w + wo] = grad_out
-    cols = _im2col(gfull, spec.kernel_h, spec.kernel_w, spec.stride, h, wd,
-                   np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
-    grad_x = grad_w = grad_b = None
-    if need_input_grad:
-        grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
-        ensure_finite(grad_x, "tconv2d backward")
-    if need_weight_grad:
-        grad_w = (x.reshape(spec.in_channels, -1) @ cols.T).reshape(w.shape)
-        grad_b = grad_out.sum(axis=(1, 2))
-        ensure_finite(grad_w, "tconv2d backward")
-    return grad_x, grad_w, grad_b
+    # padded by pad all round, the gradient spans the full (H-1)*s + k +
+    # output_pad extent the forward's taps reach
+    cols = _im2col(_pad_hw(grad_out, spec.pad), spec.kernel, spec.kernel, spec.stride,
+                   h, wd, np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
+    grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
+    ensure_finite(grad_x, "tconv2d backward")
+    grad_w = (x.reshape(spec.in_channels, -1) @ cols.T).reshape(w.shape)
+    ensure_finite(grad_w, "tconv2d backward")
+    return grad_x, grad_w, grad_out.sum(axis=(1, 2))
 
 
 # -------------------------------------------------------------------- pooling

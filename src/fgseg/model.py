@@ -132,17 +132,16 @@ def _weight_shape(d: LayerDef):
 def build_model(encoder_weights=None, seed=0, dtype=np.float32) -> ModelParams:
     """Assemble the full parameter set.
 
-    encoder_weights: optional container path (or parsed entry dict) holding
-    exactly the 10 encoder conv layers; everything else is random-initialized
-    with fan-based uniform bounds and zero biases.
+    encoder_weights: optional container path holding exactly the 10 encoder
+    conv layers; everything else is random-initialized with fan-based
+    uniform bounds and zero biases.
     """
     dtype = np.dtype(dtype)
     rng = np.random.default_rng(seed)
     pretrained = None
     if encoder_weights is not None:
-        entries = (encoder_weights if isinstance(encoder_weights, dict)
-                   else read_container(encoder_weights))
-        pretrained = _collect_layers(entries, ENCODER_DEFS, "encoder container")
+        pretrained = _collect_layers(read_container(encoder_weights), ENCODER_DEFS,
+                                     "encoder container")
     layers = {}
     for d in ALL_DEFS:
         shape = _weight_shape(d)
@@ -299,11 +298,11 @@ def _backward_layers(defs, paths, gs, grads):
             for k, _, c in reversed(after):
                 gs[i] = _BACKWARD[k](gs[i], c)
             ctxs.append(ctx)
-        need = d is not _FIRST_TRAINABLE
         if d.kind == "conv":
-            gs, gw, gb = conv2d_backward_shared(gs, ctxs, need_input_grad=need)
+            gs, gw, gb = conv2d_backward_shared(
+                gs, ctxs, need_input_grad=d is not _FIRST_TRAINABLE)
         else:  # the decoder runs once per forward
-            gx, gw, gb = tconv2d_backward(gs[0], ctxs[0], need_input_grad=need)
+            gx, gw, gb = tconv2d_backward(gs[0], ctxs[0])
             gs = [gx]
         grads[d.name] = (gw, gb)
         end = start
@@ -368,7 +367,8 @@ def save_weights(model: ModelParams, path):
 
 
 def read_container(path):
-    """Parse a container into {tensor name: (array, trainable, l2)}."""
+    """Parse a container into {tensor name: (array, trainable, l2)}; a NaN or
+    Inf in any tensor is rejected here, before it can reach a layer."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
@@ -404,6 +404,8 @@ def read_container(path):
             raise ValueError(f"{path}: truncated container") from None
         if name in entries:
             raise ValueError(f"{path}: duplicate tensor {name!r}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: non-finite values in tensor {name!r}")
         entries[name] = (arr.copy(), bool(trainable), float(l2))
     if pos != len(buf):
         raise ValueError(f"{path}: {len(buf) - pos} trailing bytes")

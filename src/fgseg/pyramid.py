@@ -30,10 +30,10 @@ class PyramidTriple:
         return (self.i0, self.i1, self.i2)
 
 
-def gaussian_taps(sigma, radius):
-    """1-D Gaussian kernel, truncated at +-radius, normalized to sum 1."""
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+def gaussian_taps():
+    """1-D Gaussian kernel of SIGMA, truncated at +-RADIUS, normalized to sum 1."""
+    t = np.arange(-RADIUS, RADIUS + 1, dtype=np.float64)
+    k = np.exp(-(t * t) / (2.0 * SIGMA * SIGMA))
     return k / k.sum()
 
 
@@ -61,7 +61,7 @@ def gaussian_blur(image):
         raise ShapeError(f"gaussian_blur: expected (C, H, W), got {image.shape}")
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float32)
-    taps = gaussian_taps(SIGMA, RADIUS)
+    taps = gaussian_taps()
     out = _blur_axis(image, taps, axis=2)
     out = _blur_axis(out, taps, axis=1)
     return ensure_finite(out, "gaussian_blur")

@@ -45,7 +45,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs is None:
             self.epochs = 60 if self.n_frames <= 50 else 50
-        if self.lr <= 0:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
 
@@ -140,9 +142,9 @@ def init_optimizer(model: ModelParams, lr) -> OptimizerState:
     return OptimizerState(acc=acc, lr=lr)
 
 
-def rmsprop_step(model: ModelParams, grads, state: OptimizerState,
-                 rho=RHO, epsilon=EPSILON):
-    """In-place update: a <- rho*a + (1-rho)*g^2; w <- w - lr*g/(sqrt(a)+eps).
+def rmsprop_step(model: ModelParams, grads, state: OptimizerState):
+    """In-place update: a <- rho*a + (1-rho)*g^2; w <- w - lr*g/(sqrt(a)+eps),
+    with rho = RHO and eps = EPSILON.
 
     L2 layers add l2*w to the weight gradient first; biases carry no penalty.
     Frozen layers are untouched (they never appear in grads).
@@ -156,12 +158,12 @@ def rmsprop_step(model: ModelParams, grads, state: OptimizerState,
         if p.l2 > 0.0:
             gw = gw + p.l2 * p.weights
         acc_w, acc_b = state.acc[name]
-        acc_w *= rho
-        acc_w += (1.0 - rho) * gw * gw
-        acc_b *= rho
-        acc_b += (1.0 - rho) * gb * gb
-        p.weights -= state.lr * gw / (np.sqrt(acc_w) + epsilon)
-        p.bias -= state.lr * gb / (np.sqrt(acc_b) + epsilon)
+        acc_w *= RHO
+        acc_w += (1.0 - RHO) * gw * gw
+        acc_b *= RHO
+        acc_b += (1.0 - RHO) * gb * gb
+        p.weights -= state.lr * gw / (np.sqrt(acc_w) + EPSILON)
+        p.bias -= state.lr * gb / (np.sqrt(acc_b) + EPSILON)
 
 
 @dataclass

@@ -168,6 +168,13 @@ def test_train_validates_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--weights-out" in err
     assert list(tmp_path.iterdir()) == []
+    # TrainConfig's own rules, applied before any frame is read or generated
+    for flags, message in ((("--epochs", 0), "epochs must be at least 1, got 0"),
+                           (("--epochs", -2), "epochs must be at least 1, got -2"),
+                           (("--lr", 0), "lr must be positive, got 0.0")):
+        assert run("train", *TINY, *flags, "--weights-out", tmp_path / "w.fgsn") == 2
+        assert capsys.readouterr().err == f"fgseg train: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_conv2d_1x1_scale_and_bias():
     x = np.array([[[5.0]]], dtype=np.float32)
     w = np.array([[[[2.0]]]], dtype=np.float32)
     b = np.array([3.0], dtype=np.float32)
-    spec = ConvSpec(1, 1, 1, 0, 0, 1, 1)
+    spec = ConvSpec(1, 1, 0, 1, 1)
     y, _ = conv2d_forward(x, w, b, spec)
     assert y.shape == (1, 1, 1)
     assert y[0, 0, 0] == pytest.approx(13.0)
@@ -87,7 +87,7 @@ def test_conv2d_strided_matches_oracle():
     x = rng.standard_normal((2, 9, 7))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    spec = ConvSpec(3, 3, 2, 1, 1, 2, 3)
+    spec = ConvSpec(3, 2, 1, 2, 3)
     y, _ = conv2d_forward(x, w, b, spec)
     ref = oracles.conv2d_loops(x, w, b, stride=2, pad=1)
     assert y.shape == ref.shape == (3, 5, 4)
@@ -158,10 +158,10 @@ def test_conv2d_backward_grad_selection():
     x = rng.standard_normal((2, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3))
     y, ctx = conv2d_forward(x, w, np.zeros(2), spec)
-    gx, gw, gb = conv2d_backward(np.ones_like(y), ctx, need_weight_grad=False)
-    assert gw is None and gb is None and gx is not None
-    gx2, gw2, _ = conv2d_backward(np.ones_like(y), ctx, need_input_grad=False)
-    assert gx2 is None and gw2 is not None
+    gx, gw, gb = conv2d_backward(np.ones_like(y), ctx)
+    gx2, gw2, gb2 = conv2d_backward(np.ones_like(y), ctx, need_input_grad=False)
+    assert gx is not None and gx2 is None
+    assert np.array_equal(gw2, gw) and np.array_equal(gb2, gb)
 
 
 def test_conv2d_backward_shared_matches_per_input_sum():
@@ -189,7 +189,7 @@ def test_conv2d_backward_shared_matches_per_input_sum():
 @pytest.mark.parametrize("ho,wo", [(23, 16), (70, 17)])
 def test_conv2d_bands_match_one_gemm(monkeypatch, ho, wo, stride, dtype):
     rng = np.random.default_rng(26)
-    spec = ConvSpec(3, 3, stride, 1, 1, 5, 6)
+    spec = ConvSpec(3, stride, 1, 5, 6)
     x = rng.standard_normal((5, ho * stride, wo * stride)).astype(dtype)
     w = rng.standard_normal((6, 5, 3, 3)).astype(dtype)
     b = rng.standard_normal(6).astype(dtype)
@@ -249,7 +249,7 @@ def test_tconv2d_1x1_identity():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 4, 4)).astype(np.float32)
     w = np.ones((1, 1, 1, 1), dtype=np.float32)
-    spec = ConvSpec(1, 1, 1, 0, 0, 1, 1)
+    spec = ConvSpec(1, 1, 0, 1, 1)
     y, _ = tconv2d_forward(x, w, np.zeros(1, dtype=np.float32), spec)
     assert np.array_equal(y, x)
 
@@ -271,7 +271,7 @@ def test_tconv2d_upscale2x_doubles_extent(h, w):
 ])
 def test_tconv2d_matches_zero_stuff_oracle(kernel, stride, pad, opad):
     rng = np.random.default_rng(7)
-    spec = ConvSpec(kernel, kernel, stride, pad, pad, 3, 2, output_pad=opad)
+    spec = ConvSpec(kernel, stride, pad, 3, 2, output_pad=opad)
     x = rng.standard_normal((3, 5, 6))
     w = rng.standard_normal((3, 2, kernel, kernel))
     b = rng.standard_normal(2)
@@ -293,7 +293,7 @@ def test_tconv2d_matches_zero_stuff_oracle(kernel, stride, pad, opad):
 def test_tconv2d_phases_match_zero_stuff_oracle(kernel, stride, pad, opad, h, w,
                                                 dtype, tol):
     rng = np.random.default_rng(28)
-    spec = ConvSpec(kernel, kernel, stride, pad, pad, 4, 3, output_pad=opad)
+    spec = ConvSpec(kernel, stride, pad, 4, 3, output_pad=opad)
     x = rng.standard_normal((4, h, w))
     k = rng.standard_normal((4, 3, kernel, kernel))
     b = rng.standard_normal(3)
@@ -308,7 +308,7 @@ def test_tconv2d_phases_match_zero_stuff_oracle(kernel, stride, pad, opad, h, w,
 def test_tconv2d_phases_match_scatter_bit_for_bit(kernel, stride, pad, opad):
     # the plain path: one GEMM into every tap's columns, then a scatter-add
     rng = np.random.default_rng(29)
-    spec = ConvSpec(kernel, kernel, stride, pad, pad, 16, 8, output_pad=opad)
+    spec = ConvSpec(kernel, stride, pad, 16, 8, output_pad=opad)
     x = rng.standard_normal((16, 9, 11)).astype(np.float32)
     k = rng.standard_normal((16, 8, kernel, kernel)).astype(np.float32)
     b = rng.standard_normal(8).astype(np.float32)
@@ -324,12 +324,12 @@ def test_tconv2d_is_adjoint_of_conv2d():
     # <conv(x), y> == <x, tconv(y)> with the shared kernel, zero bias
     rng = np.random.default_rng(8)
     for kernel, stride, pad, opad, h, w in [(3, 1, 1, 0, 6, 6), (5, 2, 2, 1, 8, 10)]:
-        cspec = ConvSpec(kernel, kernel, stride, pad, pad, 3, 4)
+        cspec = ConvSpec(kernel, stride, pad, 3, 4)
         x = rng.standard_normal((3, h, w))
         k = rng.standard_normal((4, 3, kernel, kernel))
         cx, _ = conv2d_forward(x, k, np.zeros(4), cspec)
         y = rng.standard_normal(cx.shape)
-        tspec = ConvSpec(kernel, kernel, stride, pad, pad, 4, 3, output_pad=opad)
+        tspec = ConvSpec(kernel, stride, pad, 4, 3, output_pad=opad)
         ty, _ = tconv2d_forward(y, k, np.zeros(3), tspec)
         assert ty.shape == x.shape
         lhs = float(np.sum(cx * y))
@@ -339,15 +339,15 @@ def test_tconv2d_is_adjoint_of_conv2d():
 
 def test_output_pad_must_stay_below_stride():
     with pytest.raises(ShapeError):
-        ConvSpec(5, 5, 2, 2, 2, 1, 1, output_pad=2)
+        ConvSpec(5, 2, 2, 1, 1, output_pad=2)
     with pytest.raises(ShapeError):
-        ConvSpec(3, 3, 1, 1, 1, 1, 1, output_pad=1)
+        ConvSpec(3, 1, 1, 1, 1, output_pad=1)
 
 
 @pytest.mark.parametrize("kernel,stride,pad,opad", [(3, 1, 1, 0), (5, 2, 2, 1)])
 def test_tconv2d_backward_finite_differences(kernel, stride, pad, opad):
     rng = np.random.default_rng(9)
-    spec = ConvSpec(kernel, kernel, stride, pad, pad, 2, 3, output_pad=opad)
+    spec = ConvSpec(kernel, stride, pad, 2, 3, output_pad=opad)
     x = rng.standard_normal((2, 6, 6))
     w = rng.standard_normal((2, 3, kernel, kernel))
     b = rng.standard_normal(3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,7 +340,10 @@ def _plain_backward(tape, grad_out):
             if name is None:
                 g = ops[kind](g, ctx)
                 continue
-            g, gw, gb = ops[kind](g, ctx, need_input_grad=name != "enc.b4.c1")
+            if kind == "tconv":
+                g, gw, gb = ops[kind](g, ctx)
+            else:
+                g, gw, gb = ops[kind](g, ctx, need_input_grad=name != "enc.b4.c1")
             old = grads.get(name, (0.0, 0.0))
             grads[name] = (old[0] + gw, old[1] + gb)
         return g
@@ -446,6 +451,27 @@ def test_load_rejects_truncation(small_model, tmp_path):
     p.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(ValueError, match="truncated"):
         read_container(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_tensor(small_model, tmp_path, bad):
+    # a full model (segment's input) and an encoder container (train's
+    # --weights-in) fail as they load, naming the file and the tensor
+    def planted(prefixes, name):
+        layers = {n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+                  for n, p in small_model.layers.items() if n.startswith(prefixes)}
+        layers[name].weights = layers[name].weights.copy()
+        layers[name].weights.flat[7] = bad
+        path = tmp_path / f"{name}.fgsn"
+        save_weights(ModelParams(layers, small_model.dtype), path)
+        return path, re.escape(f"{path}: non-finite values in tensor '{name}.weight'")
+
+    path, message = planted(("enc.", "dec."), "dec.b7.t3x3")
+    with pytest.raises(ValueError, match=message):
+        load_weights(path)
+    path, message = planted("enc.", "enc.b4.c2")
+    with pytest.raises(ValueError, match=message):
+        build_model(encoder_weights=path)
 
 
 def test_load_rejects_contradictory_trainable_flag(small_model, tmp_path):

@@ -12,7 +12,7 @@ def test_default_sigma_is_two_thirds():
 
 def test_kernel_is_seven_taps_normalized():
     assert RADIUS == 3
-    taps = gaussian_taps(SIGMA, RADIUS)
+    taps = gaussian_taps()
     assert taps.shape == (7,)
     assert taps.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(taps, taps[::-1])  # symmetric
@@ -31,7 +31,7 @@ def test_blur_of_centered_impulse_is_the_kernel():
     img = np.zeros((1, 9, 9), dtype=np.float64)
     img[0, 4, 4] = 1.0
     out = gaussian_blur(img)
-    taps = gaussian_taps(SIGMA, RADIUS)
+    taps = gaussian_taps()
     expect = np.zeros((9, 9))
     expect[1:8, 1:8] = np.outer(taps, taps)
     assert np.max(np.abs(out[0] - expect)) < 1e-6

@@ -196,8 +196,7 @@ def tiny_model(w=0.0, b=0.0, l2=0.0, trainable=True):
 def test_rmsprop_single_step_hand_values():
     m = tiny_model(w=0.0)
     state = init_optimizer(m, lr=0.1)
-    rmsprop_step(m, {"only": (np.array([1.0]), np.array([0.0]))}, state,
-                 rho=0.9, epsilon=1e-8)
+    rmsprop_step(m, {"only": (np.array([1.0]), np.array([0.0]))}, state)
     assert state.acc["only"][0][0] == pytest.approx(0.1, abs=1e-12)
     assert m["only"].weights[0] == pytest.approx(-0.316228, abs=1e-6)
 
@@ -322,8 +321,12 @@ def test_config_defaults_and_validation():
     assert TrainConfig(n_frames=50, epochs=5).epochs == 5
     with pytest.raises(TypeError, match="val_split"):  # training.VAL_SPLIT
         TrainConfig(val_split=1.0)
-    with pytest.raises(ValueError, match="lr"):
-        TrainConfig(lr=0.0)
+    for bad in (0.0, -1e-4, math.nan):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            TrainConfig(lr=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            TrainConfig(epochs=bad)
     with pytest.raises(TypeError, match="plateau_patience"):  # PlateauSchedule's
         TrainConfig(plateau_patience=0)
     with pytest.raises(TypeError, match="batch"):  # batch size 1 only
