@@ -376,9 +376,8 @@ def cmd_sweep(cfg, data, metrics):
     result = metrics.threshold_sweep(prob_maps, label_masks, thresholds)
     rows = [(f"{t:.1f}", r) for t, r in zip(result.thresholds, result.reports)]
     print(metrics.format_table(rows))
-    best = result.reports[result.thresholds.index(result.best_threshold)]
     print(f"best threshold: {result.best_threshold:.1f} "
-          f"(F-Measure={best.f_measure:.4f})")
+          f"(F-Measure={result.best_f:.4f})")
     if cfg.out:
         with data.atomic_write(cfg.out, "w", newline="") as fh:
             metrics.emit_csv(rows, fh)
@@ -415,6 +414,7 @@ def main(argv=None):
     except ValueError as e:
         print(f"fgseg: {e}", file=sys.stderr)
         return 2
+    import numpy as np
     from . import data, metrics, model, pyramid, training
     parser = _build_parser(data, training)
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -424,18 +424,21 @@ def main(argv=None):
     except ValueError as e:
         print(f"fgseg {args.command}: {e}", file=sys.stderr)
         return 2
+    # the finite checks report overflow in one line, so numpy need not warn;
+    # scoped, not np.seterr, so an in-process caller keeps its own settings
     try:
-        if cfg.command == "train":
-            return cmd_train(cfg, data, model, training)
-        if cfg.command == "segment":
-            return cmd_segment(cfg, data, model, pyramid)
-        if cfg.command == "evaluate":
-            return cmd_evaluate(cfg, data, metrics)
-        if cfg.command == "sweep":
-            return cmd_sweep(cfg, data, metrics)
-        if cfg.command == "synth":
-            return cmd_synth(cfg, data)
-        return cmd_info(cfg, model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.command == "train":
+                return cmd_train(cfg, data, model, training)
+            if cfg.command == "segment":
+                return cmd_segment(cfg, data, model, pyramid)
+            if cfg.command == "evaluate":
+                return cmd_evaluate(cfg, data, metrics)
+            if cfg.command == "sweep":
+                return cmd_sweep(cfg, data, metrics)
+            if cfg.command == "synth":
+                return cmd_synth(cfg, data)
+            return cmd_info(cfg, model)
     except (ValueError, OSError, ArithmeticError) as e:
         message = str(e).splitlines()[0] if str(e) else type(e).__name__
         print(f"fgseg {cfg.command}: {message}", file=sys.stderr)

@@ -188,12 +188,11 @@ def read_labels(handle: SequenceHandle, index) -> LabelMask:
     img = load_image(handle.gt_paths[index])
     if img.ndim == 3:
         img = img[:, :, 0]
-    raw = img.astype(np.uint8)
+    raw = img.astype(np.uint8)  # a fresh copy, so the ROI can mask it in place
     if handle.roi is not None:
         if handle.roi.shape != raw.shape:
             raise ShapeError(f"{handle.gt_paths[index]}: ROI {handle.roi.shape} "
                              f"does not match labels {raw.shape}")
-        raw = raw.copy()
         raw[~handle.roi] = CODE_OUTSIDE_ROI
     return decode_label(raw)
 

@@ -12,8 +12,13 @@ carries whatever the matching backward pass needs, and no more:
 - dropout: ``(keep mask, scale)``, or None at inference.
 
 Arrays are numpy ndarrays in channel-major layout; float32 by default,
-float64 for gradient checking.  Any non-finite value produced by an
-operation raises ``NonFiniteError`` instead of propagating.
+float64 for gradient checking.
+
+Only the GEMM ops, where an overflow first shows, raise ``NonFiniteError``:
+``conv2d_forward`` per band and ``tconv2d_forward``.  ReLU, sigmoid and
+max-pool keep a finite array finite.  An overflow in dropout's scale or in a
+backward sum reaches the next GEMM's check or the next layer's weight
+gradient; backward returns gradients unchecked, and the optimizer checks them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ class NonFiniteError(FloatingPointError):
 def ensure_finite(arr, op):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op}: non-finite values in result")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,6 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
         start += ho * wo
     grad_w = (g @ cols.T).reshape(w.shape)
     grad_b = g.sum(axis=1)
-    ensure_finite(grad_w, "conv2d backward")
     grad_xs = None
     if need_input_grad:
         dcols = w.reshape(spec.out_channels, -1).T @ g
@@ -216,9 +219,7 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
                           h + 2 * spec.pad, wd + 2 * spec.pad,
                           spec.kernel, spec.kernel, spec.stride, ho, wo)
             start += ho * wo
-            grad_xs.append(ensure_finite(
-                dxp[:, spec.pad:spec.pad + h, spec.pad:spec.pad + wd],
-                "conv2d backward"))
+            grad_xs.append(dxp[:, spec.pad:spec.pad + h, spec.pad:spec.pad + wd])
     return grad_xs, grad_w, grad_b
 
 
@@ -303,9 +304,7 @@ def tconv2d_backward(grad_out, ctx):
     cols = _im2col(_pad_hw(grad_out, spec.pad), spec.kernel, spec.kernel, spec.stride,
                    h, wd, np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
     grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
-    ensure_finite(grad_x, "tconv2d backward")
     grad_w = (x.reshape(spec.in_channels, -1) @ cols.T).reshape(w.shape)
-    ensure_finite(grad_w, "tconv2d backward")
     return grad_x, grad_w, grad_out.sum(axis=(1, 2))
 
 
@@ -318,10 +317,8 @@ def maxpool2x2_forward(x):
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial extents must be even, got {h}x{w}")
-    y = np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
-                   np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
-    ensure_finite(y, "maxpool2x2")
-    return y, x
+    return (np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                       np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2])), x)
 
 
 def maxpool2x2_backward(grad_out, ctx):
@@ -343,19 +340,15 @@ def pointwise_activation(x, kind):
     """Elementwise ReLU or sigmoid; returns (y, ctx) for the backward pass."""
     if kind == "relu":
         y = np.maximum(x, 0)
-        ctx = ("relu", y)  # y > 0 exactly where x > 0
-    elif kind == "sigmoid":
-        out = np.empty_like(x)
+        return y, ("relu", y)  # y > 0 exactly where x > 0
+    if kind == "sigmoid":
+        y = np.empty_like(x)
         pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        y = out
-        ctx = ("sigmoid", y)
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    ensure_finite(y, kind)
-    return y, ctx
+        y[~pos] = ex / (1.0 + ex)
+        return y, ("sigmoid", y)
+    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def pointwise_activation_backward(grad_out, ctx):
@@ -377,9 +370,7 @@ def dropout(x, rate, training, rng=None):
         raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(x.shape) >= rate
     scale = x.dtype.type(1.0 / (1.0 - rate))
-    y = np.where(keep, x * scale, x.dtype.type(0.0))
-    ensure_finite(y, "dropout")
-    return y, (keep, scale)
+    return np.where(keep, x * scale, x.dtype.type(0.0)), (keep, scale)
 
 
 def dropout_backward(grad_out, ctx):

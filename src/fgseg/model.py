@@ -21,6 +21,7 @@ import numpy as np
 from .data import pad_to_multiple
 from .kernels import (
     ConvSpec,
+    NonFiniteError,
     ShapeError,
     concat_depth,
     concat_depth_backward,
@@ -62,9 +63,6 @@ class LayerDef:
             return ConvSpec.upscale2x(self.kernel, self.in_ch, self.out_ch)
         return ConvSpec.same(self.kernel, self.in_ch, self.out_ch)
 
-    def param_count(self):
-        return (self.kernel * self.kernel * self.in_ch + 1) * self.out_ch
-
 
 ENCODER_DEFS = (
     LayerDef("enc.b1.c1", "conv", 3, 64, 3, frozen=True),
@@ -94,7 +92,6 @@ DECODER_DEFS = (
 )
 
 ALL_DEFS = ENCODER_DEFS + DECODER_DEFS
-DEFS_BY_NAME = {d.name: d for d in ALL_DEFS}
 
 
 @dataclass
@@ -149,8 +146,8 @@ def build_model(encoder_weights=None, seed=0, dtype=np.float32) -> ModelParams:
         fan_out = d.out_ch * d.kernel * d.kernel
         if pretrained is not None and d.name in pretrained:
             w, b = pretrained[d.name]
-            w = w.astype(dtype)
-            b = b.astype(dtype)
+            w = w.astype(dtype, copy=False)
+            b = b.astype(dtype, copy=False)
         else:
             w = _glorot(rng, shape, fan_in, fan_out, dtype)
             b = np.zeros(d.out_ch, dtype=dtype)
@@ -200,7 +197,11 @@ def _run_layer(model, d: LayerDef, x, training, rng, tape):
     record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
     op = conv2d_forward if d.kind == "conv" else tconv2d_forward
-    out, ctx = op(x, p.weights, p.bias, d.spec())
+    try:
+        out, ctx = op(x, p.weights, p.bias, d.spec())
+    except NonFiniteError as e:  # the input shape tells the three scales apart
+        shape = "x".join(map(str, x.shape))
+        raise NonFiniteError(f"{d.name} on a {shape} input: {e}") from e
     record((d.kind, d.name, ctx))
     act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
     out, actx = pointwise_activation(out, act)
@@ -395,11 +396,11 @@ def read_container(path):
             dtype = _DTYPE_CODES.get(code)
             if dtype is None:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-            if pos + nbytes > len(buf):
+            size = int(np.prod(dims, dtype=np.int64))
+            if pos + size * dtype.itemsize > len(buf):
                 raise ValueError(f"{path}: truncated data for {name!r}")
-            arr = np.frombuffer(buf[pos:pos + nbytes], dtype=dtype).reshape(dims)
-            pos += nbytes
+            arr = np.frombuffer(buf, dtype, size, pos).reshape(dims)
+            pos += size * dtype.itemsize
         except struct.error:
             raise ValueError(f"{path}: truncated container") from None
         if name in entries:
@@ -446,8 +447,8 @@ def load_weights(path) -> ModelParams:
         if trainable == d.frozen:  # flag must match the architecture
             raise ValueError(f"{path}: {d.name} trainable flag {trainable} "
                              f"contradicts the architecture")
-        layers[d.name] = LayerParams(d.name, w.astype(dtype), b.astype(dtype),
-                                     trainable, l2)
+        layers[d.name] = LayerParams(d.name, w.astype(dtype, copy=False),
+                                     b.astype(dtype, copy=False), trainable, l2)
     return ModelParams(layers, np.dtype(dtype))
 
 

@@ -147,14 +147,15 @@ def rmsprop_step(model: ModelParams, grads, state: OptimizerState):
     with rho = RHO and eps = EPSILON.
 
     L2 layers add l2*w to the weight gradient first; biases carry no penalty.
-    Frozen layers are untouched (they never appear in grads).
+    Frozen layers never appear in grads.  A step that raises changes nothing.
     """
     for name, (gw, gb) in grads.items():
-        p = model[name]
-        if not p.trainable:
+        if not model[name].trainable:
             raise ValueError(f"gradient supplied for frozen layer {name}")
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise NonFiniteError(f"rmsprop_step: non-finite gradient for {name}")
+    for name, (gw, gb) in grads.items():
+        p = model[name]
         if p.l2 > 0.0:
             gw = gw + p.l2 * p.weights
         acc_w, acc_b = state.acc[name]
@@ -218,7 +219,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
 
     progress, when given, is called as progress(epoch, train_loss, val_loss, lr)
     after each epoch.  Returns (model restored to the best checkpoint,
-    TrainHistory).
+    TrainHistory).  A NonFiniteError is re-raised naming its epoch, step and frame.
     """
     if len(examples) < 5:
         raise ValueError(f"need at least 5 examples for a "
@@ -243,18 +244,22 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
         # phase 2 shuffle: visit order within the epoch
         epoch_order = rng.permutation(len(train_ids))
         epoch_loss = 0.0
-        for step, k in enumerate(epoch_order):
-            trunk, labels, w_fg, w_bg = prepared[train_ids[int(k)]]
-            tape = []
-            probs = forward(model, trunk, training=True, rng=rng, tape=tape)
-            loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
-            if not math.isfinite(loss):
-                raise NonFiniteError(f"epoch {epoch} step {step}: loss is {loss}")
-            grads = backward(model, tape, grad)
-            rmsprop_step(model, grads, state)
-            epoch_loss += loss
+        try:
+            for step, k in enumerate(epoch_order):
+                i = train_ids[int(k)]
+                where = f"step {step + 1} (frame {examples[i].frame_index})"
+                trunk, labels, w_fg, w_bg = prepared[i]
+                tape = []
+                probs = forward(model, trunk, training=True, rng=rng, tape=tape)
+                loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
+                grads = backward(model, tape, grad)
+                rmsprop_step(model, grads, state)
+                epoch_loss += loss
+            where = "validation"
+            val_loss = _epoch_val_loss(model, prepared, val_ids)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"epoch {epoch + 1} {where}: {e}") from e
         train_loss = epoch_loss / max(1, len(train_ids))
-        val_loss = _epoch_val_loss(model, prepared, val_ids)
 
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_train_validates_before_writing(tmp_path, capsys):
         assert run("train", *TINY, *flags, "--weights-out", tmp_path / "w.fgsn") == 2
         assert capsys.readouterr().err == f"fgseg train: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+def test_numeric_failure_is_one_line(tmp_path, capsys):
+    weights = tmp_path / "w.fgsn"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning
+        assert run("train", *TINY, "--epochs", 3, "--lr", "1e30",
+                   "--weights-out", weights) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"fgseg train: epoch 1 step \d+ \(frame \d+\): "
+                        r"(enc|dec)\.b\d\.\w+ on a \S+ input: [^\n]+\n", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):

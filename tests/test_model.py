@@ -7,6 +7,7 @@ import oracles
 from fgseg import kernels
 from fgseg import model as M
 from fgseg.kernels import (
+    NonFiniteError,
     ShapeError,
     conv2d_backward,
     dropout_backward,
@@ -472,6 +473,22 @@ def test_load_rejects_non_finite_tensor(small_model, tmp_path, bad):
     path, message = planted("enc.", "enc.b4.c2")
     with pytest.raises(ValueError, match=message):
         build_model(encoder_weights=path)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("enc.b4.c2", "enc.b4.c2 on a 512x4x4 input: conv2d: "),
+    ("dec.b7.t3x3", "dec.b7.t3x3 on a 64x8x8 input: tconv2d: "),
+])
+def test_non_finite_forward_names_the_layer(small_model, name, message):
+    layers = {n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+              for n, p in small_model.layers.items()}
+    layers[name].weights = layers[name].weights.copy()
+    layers[name].weights.flat[7] = np.inf
+    image = np.random.default_rng(0).uniform(0, 255, (3, 16, 16))
+    with pytest.raises(NonFiniteError, match="^" + re.escape(message)), \
+            np.errstate(over="ignore", invalid="ignore"):
+        forward(ModelParams(layers, small_model.dtype),
+                build_pyramid(image.astype(np.float32)))
 
 
 def test_load_rejects_contradictory_trainable_flag(small_model, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,18 +242,36 @@ def test_l2_penalty_touches_weights_not_biases():
     assert m["only"].bias[0] == 2.0
 
 
+def with_layer_ahead(m):
+    """m with a trainable layer "ahead" of its own, weight and bias 1."""
+    ahead = LayerParams(name="ahead", weights=np.ones(1), bias=np.ones(1),
+                        trainable=True)
+    return ModelParams(layers={"ahead": ahead, **m.layers}, dtype=m.dtype)
+
+
+def assert_ahead_untouched(m, state):
+    assert m["ahead"].weights[0] == 1.0 and m["ahead"].bias[0] == 1.0
+    assert not any(a.any() for a in state.acc["ahead"])
+
+
 def test_nan_gradient_aborts_the_step():
-    m = tiny_model()
+    m = with_layer_ahead(tiny_model())
     state = init_optimizer(m, lr=0.1)
     with pytest.raises(NonFiniteError, match="only"):
-        rmsprop_step(m, {"only": (np.array([np.nan]), np.array([0.0]))}, state)
+        rmsprop_step(m, {"ahead": (np.ones(1), np.ones(1)),
+                         "only": (np.array([np.nan]), np.array([0.0]))}, state)
+    # the finite layer ahead of the NaN one is not updated either
+    assert_ahead_untouched(m, state)
 
 
 def test_gradient_for_frozen_layer_is_rejected():
-    m = tiny_model(trainable=False)
-    state = OptimizerState(acc={"only": [np.zeros(1), np.zeros(1)]}, lr=0.1)
+    m = with_layer_ahead(tiny_model(trainable=False))
+    state = OptimizerState(acc={"ahead": [np.zeros(1), np.zeros(1)],
+                                "only": [np.zeros(1), np.zeros(1)]}, lr=0.1)
     with pytest.raises(ValueError, match="frozen"):
-        rmsprop_step(m, {"only": (np.ones(1), np.zeros(1))}, state)
+        rmsprop_step(m, {"ahead": (np.ones(1), np.ones(1)),
+                         "only": (np.ones(1), np.zeros(1))}, state)
+    assert_ahead_untouched(m, state)
 
 
 def test_accumulators_stay_non_negative():
@@ -405,3 +424,18 @@ def test_all_void_example_aborts_with_context():
         train(TrainConfig(epochs=1, seed=0), training.examples_from_pairs(voided),
               m, progress=lambda *a: epochs.append(a))
     assert epochs == []
+
+
+def test_numeric_failure_names_epoch_step_frame_and_layer():
+    # at lr 1e30 the first update leaves block 4's weights near 3e30, and the
+    # next step's forward overflows in the GEMM of a layer it names
+    examples = synth_examples()
+    m = model.build_model(seed=0)
+    with pytest.raises(NonFiniteError) as caught, np.errstate(over="ignore",
+                                                               invalid="ignore"):
+        train(TrainConfig(epochs=3, lr=1e30, seed=0), examples, m)
+    frames = "|".join(str(ex.frame_index) for ex in examples)
+    layers = "|".join(re.escape(d.name) for d in model.ALL_DEFS)
+    assert re.fullmatch(rf"epoch 1 step [2-5] \(frame ({frames})\): ({layers}) on a "
+                        rf"\d+x\d+x\d+ input: t?conv2d: non-finite values in result",
+                        str(caught.value))
