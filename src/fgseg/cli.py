@@ -363,17 +363,18 @@ def cmd_evaluate(cfg, data, metrics):
 
 def cmd_sweep(cfg, data, metrics):
     handle = data.load_sequence(cfg.data)
-    start, stop = data.temporal_range(handle)
-    prob_maps, label_masks = [], []
-    for i in range(start, stop):
-        path = Path(cfg.probs) / f"prob{_frame_number(handle.frame_paths[i], i):06d}.pgm"
-        if not path.exists():
-            raise ValueError(f"{cfg.data}: {stop - start} ground-truth frames "
-                             f"but no probability map {path.name} under {cfg.probs}")
-        prob_maps.append(data.read_prob_map(path))
-        label_masks.append(data.read_labels(handle, i))
+    frames = range(*data.temporal_range(handle))
+    paths = [Path(cfg.probs) / f"prob{_frame_number(handle.frame_paths[i], i):06d}.pgm"
+             for i in frames]
+    missing = next((p for p in paths if not p.exists()), None)
+    if missing is not None:
+        raise ValueError(f"{cfg.data}: {len(frames)} ground-truth frames "
+                         f"but no probability map {missing.name} under {cfg.probs}")
     thresholds = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    result = metrics.threshold_sweep(prob_maps, label_masks, thresholds)
+    # generators, so the sweep reads and counts one frame at a time
+    result = metrics.threshold_sweep((data.read_prob_map(p) for p in paths),
+                                     (data.read_labels(handle, i) for i in frames),
+                                     thresholds)
     rows = [(f"{t:.1f}", r) for t, r in zip(result.thresholds, result.reports)]
     print(metrics.format_table(rows))
     print(f"best threshold: {result.best_threshold:.1f} "

@@ -32,7 +32,6 @@ CODE_FOREGROUND = 255
 
 VALID_CODES = (CODE_BACKGROUND, CODE_SHADOW, CODE_OUTSIDE_ROI,
                CODE_UNKNOWN, CODE_FOREGROUND)
-_IS_VALID_CODE = np.isin(np.arange(256), VALID_CODES)  # lookup by uint8 code
 
 
 # ----------------------------------------------------------------- label mask
@@ -74,9 +73,11 @@ def decode_label(gt_image) -> LabelMask:
     if arr.ndim != 2:
         raise ShapeError(f"decode_label: expected (H, W) grayscale, got {arr.shape}")
     arr = arr.astype(np.uint8)
-    known = np.take(_IS_VALID_CODE, arr)
-    if not known.all():
-        bad = sorted(int(v) for v in np.unique(arr[~known]))
+    # deleting the valid bytes leaves exactly the invalid ones, with no
+    # per-pixel index or mask array
+    unknown = arr.tobytes().translate(None, bytes(VALID_CODES))
+    if unknown:
+        bad = sorted(set(unknown))
         raise ValueError(f"decode_label: unrecognized gray codes {bad}, "
                          f"expected subset of {list(VALID_CODES)}")
     return LabelMask(arr)
@@ -395,7 +396,9 @@ def read_prob_map(path):
     arr = read_netpbm(path)
     if arr.dtype != np.uint16:
         raise ValueError(f"{path}: probability dumps are 16-bit PGM")
-    return arr.astype(np.float32) / 65535.0
+    probs = arr.astype(np.float32)
+    probs /= 65535.0  # in place: the same float32 division, one array
+    return probs
 
 
 def read_mask(path):

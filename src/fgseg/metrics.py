@@ -114,10 +114,11 @@ class SweepResult:
 
 
 def threshold_sweep(prob_maps, label_masks, thresholds) -> SweepResult:
-    """Binarize at each threshold, pool counts over all frames, report."""
-    if len(prob_maps) != len(label_masks):
-        raise ValueError(f"threshold_sweep: {len(prob_maps)} probability maps "
-                         f"but {len(label_masks)} label masks")
+    """Binarize at each threshold, pool counts over all frames, report.
+
+    prob_maps and label_masks are any iterables, generators included; the
+    sweep takes one frame of each at a time and drops it before the next.
+    """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("threshold_sweep: no thresholds")
@@ -128,13 +129,24 @@ def threshold_sweep(prob_maps, label_masks, thresholds) -> SweepResult:
     if thresholds[0] <= 0.0 or thresholds[-1] >= 1.0:
         raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
     hits = np.zeros((len(thresholds), 2), dtype=np.int64)  # (tp, fp) per t
-    n_fg = n_bg = 0
-    for probs, labels in zip(prob_maps, label_masks):
+    n_fg = n_bg = n_maps = n_masks = 0
+    masks = iter(label_masks)
+    for probs in prob_maps:
+        n_maps += 1
+        labels = next(masks, None)
+        if labels is None:
+            continue  # out of masks: count the maps left, for the error below
+        n_masks += 1
         p = _frame(probs, labels, "threshold_sweep")
         pf, pb = p[labels.foreground], p[labels.background]  # once, for all t
         hits += [(np.count_nonzero(pf > t), np.count_nonzero(pb > t))
                  for t in thresholds]
         n_fg, n_bg = n_fg + pf.size, n_bg + pb.size
+        del probs, labels, p, pf, pb  # freed before the next frame is read
+    n_masks += sum(1 for _ in masks)
+    if n_maps != n_masks:
+        raise ValueError(f"threshold_sweep: {n_maps} probability maps "
+                         f"but {n_masks} label masks")
     counts = [ConfusionCounts(tp, fp, n_fg - tp, n_bg - fp)
               for tp, fp in hits.tolist()]
     reports = [compute_metrics(c) for c in counts]

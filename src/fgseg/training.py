@@ -198,7 +198,10 @@ def _prepare(model: ModelParams, example: TrainingExample):
     if not labels.valid.any():
         raise ValueError(f"frame {example.frame_index}: no supervised pixels (all void)")
     frame, _ = pad_to_multiple(example.frame, 4)
-    trunk = frozen_trunk(model, build_pyramid(frame))
+    try:
+        trunk = frozen_trunk(model, build_pyramid(frame))
+    except NonFiniteError as e:
+        raise NonFiniteError(f"frame {example.frame_index}: {e}") from e
     w_fg, w_bg = class_weights(labels)
     return trunk, labels, w_fg, w_bg
 
@@ -219,7 +222,8 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
 
     progress, when given, is called as progress(epoch, train_loss, val_loss, lr)
     after each epoch.  Returns (model restored to the best checkpoint,
-    TrainHistory).  A NonFiniteError is re-raised naming its epoch, step and frame.
+    TrainHistory).  A NonFiniteError is re-raised naming its epoch, step and
+    frame, or only its frame when the frozen trunk raises it before epoch 1.
     """
     if len(examples) < 5:
         raise ValueError(f"need at least 5 examples for a "

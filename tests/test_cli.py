@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,30 @@ def test_sweep_emits_nine_rows_and_best_line(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 10  # header + 9 thresholds
     assert [r[0] for r in rows[1:]] == [f"{k / 10:.1f}" for k in range(1, 10)]
+
+
+def test_sweep_holds_one_probability_map_at_a_time(tmp_path, monkeypatch, capsys):
+    scene, probs = tmp_path / "scene", tmp_path / "probs"
+    assert run("synth", "--out", scene, "--frames", 6, "--width", 16,
+               "--height", 16) == 0
+    probs.mkdir()
+    for i in range(6):
+        data.write_prob_map(np.full((16, 16), 0.1 * i, np.float32),
+                            probs / f"prob{i + 1:06d}.pgm")
+    live, reads = [], []
+    read_prob_map = data.read_prob_map
+
+    def counted(path):
+        arr = read_prob_map(path)
+        live.append(path)
+        reads.append(len(live))
+        weakref.finalize(arr, live.remove, path)
+        return arr
+
+    monkeypatch.setattr(data, "read_prob_map", counted)
+    assert run("sweep", "--data", scene, "--probs", probs) == 0
+    assert reads == [1] * 6  # maps alive as each is read: never two at once
+    assert "best threshold:" in capsys.readouterr().out
 
 
 def test_sweep_reports_missing_probability_maps(tmp_path, capsys):

@@ -116,6 +116,24 @@ def test_decode_rejects_unknown_codes():
         decode_label(raw)
 
 
+def test_decode_accepts_exactly_the_valid_codes():
+    for code in range(256):
+        raw = np.array([[0, code], [255, 85]], dtype=np.uint8)
+        if code in data.VALID_CODES:
+            assert np.array_equal(decode_label(raw).raw, raw)
+        else:
+            with pytest.raises(ValueError, match=rf"codes \[{code}\],"):
+                decode_label(raw)
+
+
+def test_decode_lists_every_bad_code_once():
+    raw = np.array([[0, 254, 50], [1, 170, 254], [255, 1, 85]], dtype=np.uint8)
+    with pytest.raises(ValueError) as caught:
+        decode_label(raw)
+    assert str(caught.value) == ("decode_label: unrecognized gray codes [1, 254], "
+                                 "expected subset of [0, 50, 85, 170, 255]")
+
+
 def test_label_roundtrip_identity():
     raw = np.array([[0, 50, 85, 170, 255]], dtype=np.uint8)
     m = decode_label(raw)
@@ -299,3 +317,12 @@ def test_prob_map_roundtrip(tmp_path):
     back = read_prob_map(path)
     assert back.shape == (6, 6)
     assert np.max(np.abs(back - probs[0])) <= 0.5 / 65535.0 + 1e-9
+
+
+def test_read_prob_map_matches_plain_division_on_every_code(tmp_path):
+    path = tmp_path / "all.pgm"
+    write_pgm(path, np.arange(65536, dtype=np.uint16).reshape(256, 256))
+    plain = read_netpbm(path).astype(np.float32) / 65535.0
+    got = read_prob_map(path)
+    assert got.dtype == np.float32
+    assert got.tobytes() == plain.tobytes()

@@ -196,6 +196,22 @@ def test_sweep_validation():
         threshold_sweep([np.zeros((2, 3), dtype=np.float32)], labels, [0.5])
 
 
+def test_sweep_over_generators_matches_lists():
+    rng = np.random.default_rng(57)
+    probs = [rng.uniform(size=(9, 7)).astype(np.float32) for _ in range(4)]
+    labels = [random_labels(rng, (9, 7)) for _ in range(4)]
+    thresholds = [0.2, 0.5, 0.7]
+    plain = threshold_sweep(probs, labels, thresholds)
+    streamed = threshold_sweep(iter(probs), (lab for lab in labels), thresholds)
+    assert streamed == plain
+    for n_maps, n_masks in ((4, 3), (2, 4), (0, 1)):
+        for maps, masks in ((probs[:n_maps], labels[:n_masks]),
+                            (iter(probs[:n_maps]), iter(labels[:n_masks]))):
+            with pytest.raises(ValueError, match=f"^threshold_sweep: {n_maps} "
+                               f"probability maps but {n_masks} label masks$"):
+                threshold_sweep(maps, masks, thresholds)
+
+
 # aggregation -------------------------------------------------------------
 
 def test_single_video_equal_at_all_levels():

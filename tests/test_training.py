@@ -439,3 +439,13 @@ def test_numeric_failure_names_epoch_step_frame_and_layer():
     assert re.fullmatch(rf"epoch 1 step [2-5] \(frame ({frames})\): ({layers}) on a "
                         rf"\d+x\d+x\d+ input: t?conv2d: non-finite values in result",
                         str(caught.value))
+
+
+def test_non_finite_frame_names_its_frame():
+    # the frozen trunk runs once per frame before epoch 1, outside the step
+    # loop, so its own prefix names the frame
+    examples = synth_examples()
+    examples[3].frame[1, 5, 7] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^frame 3: enc\.b1\.c1 on a "
+                                             r"3x16x16 input: conv2d: non-finite"):
+        train(TrainConfig(epochs=1, seed=0), examples, model.build_model(seed=0))
