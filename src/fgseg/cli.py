@@ -91,14 +91,12 @@ def _build_parser(data, training):
         (("--frames",), dict(type=int, help="training frame count")),
         (("--epochs",), dict(type=int)),
         (("--lr",), dict(type=float)),
-        (("--threshold",), dict(type=float)),
         (("--weights-in",), dict(dest="weights_in",
                                  help="container with pretrained encoder weights")),
         (("--weights-out",), dict(dest="weights_out")),
         (("--out",), dict(help="history CSV path (default: alongside weights)")),
         precision,
-        frames=train.n_frames, lr=train.lr, seed=train.seed,
-        threshold=THRESHOLD, **scene)
+        frames=train.n_frames, lr=train.lr, seed=train.seed, **scene)
     add("segment", "write binary masks for every frame", *source,
         (("--frames",), dict(type=int, help="synthetic frame count")),
         (("--weights-in",), dict(dest="weights_in")),
@@ -181,15 +179,14 @@ def validate(cfg):
         TrainConfig(epochs=cfg.epochs, lr=cfg.lr)  # its epochs and lr rules
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
+        if not 0.0 < cfg.threshold < 1.0:
+            raise ValueError(f"threshold must be in (0, 1), got {cfg.threshold}")
     elif cfg.command == "evaluate":
         _require(cfg, "data", "masks")
     elif cfg.command == "sweep":
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
-    threshold = getattr(cfg, "threshold", None)
-    if threshold is not None and not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     return cfg
 
 
@@ -242,8 +239,8 @@ def cmd_train(cfg, data, model, training):
                               lr=cfg.lr, seed=cfg.seed)
     print(f"train: frames={len(examples)} epochs={tc.epochs} lr={_fmt(tc.lr)} "
           f"rho={_fmt(training.RHO)} eps={_fmt(training.EPSILON)} batch=1 "
-          f"val-split={_fmt(training.VAL_SPLIT)} threshold={_fmt(cfg.threshold)} "
-          f"precision={cfg.precision} seed={cfg.seed}")
+          f"val-split={_fmt(training.VAL_SPLIT)} precision={cfg.precision} "
+          f"seed={cfg.seed}")
 
     def report(epoch, train_loss, val_loss, lr):
         print(f"epoch {epoch + 1}/{tc.epochs} train={train_loss:.6f} "
@@ -293,9 +290,7 @@ def cmd_segment(cfg, data, model, pyramid):
     seconds = []
     for number, frame in _segment_inputs(cfg, data):
         start = time.perf_counter()
-        padded, extents = data.pad_to_multiple_of_4(frame)
-        probs = model.forward(net, pyramid.build_pyramid(padded))
-        probs = data.crop_back(probs, extents)
+        probs = model.forward(net, pyramid.build_pyramid(frame))
         data.write_mask(probs, cfg.threshold, out_dir / f"bin{number:06d}.pgm")
         if probs_dir is not None:
             data.write_prob_map(probs, probs_dir / f"prob{number:06d}.pgm")

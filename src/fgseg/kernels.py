@@ -100,10 +100,11 @@ def _check_chw(x, op):
         raise ShapeError(f"{op}: expected (C, H, W) input, got shape {x.shape}")
 
 
-def _pad_hw(x, pad):
-    if pad == 0:
+def _pad_hw(x, top, bottom, left, right):
+    """Zero-pad the last two axes of x; x itself when every width is 0."""
+    if not (top or bottom or left or right):
         return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    return np.pad(x, ((0, 0), (top, bottom), (left, right)))
 
 
 def _im2col(x, kh, kw, stride, ho, wo, out):
@@ -163,7 +164,7 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
         raise ShapeError(f"conv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
     h, wd = x.shape[1:]
     ho, wo = spec.conv_out_hw(h, wd)
-    xp = _pad_hw(x, spec.pad)
+    xp = _pad_hw(x, *[spec.pad] * 4)
     w2 = w.reshape(spec.out_channels, -1)
     k = w2.shape[1]
     y = np.empty((spec.out_channels, ho * wo), dtype=np.result_type(xp, w))
@@ -257,7 +258,7 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     # zero-pad by q, plus a row below, so every tap is a flat view over
     # (rows, wd + 2q) whose last row may run past the right edge
     shifted = q or any(d for _, taps in phases_h + phases_w for _, d in taps)
-    xp = np.pad(x, ((0, 0), (q, q + 1), (q, q))) if shifted else x
+    xp = _pad_hw(x, q, q + 1, q, q) if shifted else x
     wp = wd + 2 * q
     flat = xp.reshape(spec.in_channels, -1)
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
@@ -301,7 +302,7 @@ def tconv2d_backward(grad_out, ctx):
                          f"expected ({spec.out_channels},{ho},{wo})")
     # padded by pad all round, the gradient spans the full (H-1)*s + k +
     # output_pad extent the forward's taps reach
-    cols = _im2col(_pad_hw(grad_out, spec.pad), spec.kernel, spec.kernel, spec.stride,
+    cols = _im2col(_pad_hw(grad_out, *[spec.pad] * 4), spec.kernel, spec.kernel, spec.stride,
                    h, wd, np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
     grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
     grad_w = (x.reshape(spec.in_channels, -1) @ cols.T).reshape(w.shape)

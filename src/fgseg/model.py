@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .kernels import (
     ConvSpec,
     NonFiniteError,
     ShapeError,
+    _pad_hw,
     concat_depth,
     concat_depth_backward,
     conv2d_backward_shared,
@@ -231,35 +233,41 @@ def encode_scale(model: ModelParams, image, training=False, rng=None, tape=None)
 
 
 def _scale_images(pyr: PyramidTriple):
-    h, w = pyr.i0.shape[-2:]
-    if h % 4 or w % 4:
-        raise ShapeError(f"forward: extents must be multiples of 4, got {h}x{w}")
-    # coarser levels may have odd extents; pad them into the encoder's
-    # multiple-of-4 contract, then crop features back to the fine grid
+    # pad every level into the encoder's multiple-of-4 contract; features
+    # are cropped back to the finest grid, and the output to the frame
     return [pad_to_multiple(image, 4)[0] for image in pyr.scales]
 
 
-def frozen_trunk(model: ModelParams, pyr: PyramidTriple):
+class Trunk(NamedTuple):
+    scales: tuple   # per-scale output of blocks 1-3
+    extents: tuple  # (H, W) of the frame
+
+
+def frozen_trunk(model: ModelParams, pyr: PyramidTriple) -> Trunk:
     """Per-scale output of blocks 1-3, the first trainable layer's input.
     Those blocks neither train nor drop out, so it is fixed per frame."""
-    return tuple(_run_layers(model, _TRUNK_DEFS,
-                             np.ascontiguousarray(image, dtype=model.dtype))
-                 for image in _scale_images(pyr))
+    scales = tuple(_run_layers(model, _TRUNK_DEFS,
+                               np.ascontiguousarray(image, dtype=model.dtype))
+                   for image in _scale_images(pyr))
+    return Trunk(scales, pyr.i0.shape[-2:])
 
 
 def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
-    """Full network: pyramid triple -> probability map (1, H, W).  pyr may
-    instead be frozen_trunk(model, pyr), for the same result from less work."""
+    """Full network: pyramid triple of a frame of any size -> probability
+    map (1, H, W).  pyr may instead be frozen_trunk(model, pyr), for the
+    same result from less work."""
     if isinstance(pyr, PyramidTriple):
         feats = [encode_scale(model, image, training, rng, tape)
                  for image in _scale_images(pyr)]
+        h, w = pyr.i0.shape[-2:]
     else:
         feats = [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
-                 for x in pyr]
+                 for x in pyr.scales]
+        h, w = pyr.extents
     th, tw = feats[0].shape[1:]
     x = concat_depth([upsample_nearest(f, 2 ** s)[:, :th, :tw]
                       for s, f in enumerate(feats)])
-    return _run_layers(model, DECODER_DEFS, x, training, rng, tape)
+    return _run_layers(model, DECODER_DEFS, x, training, rng, tape)[:, :h, :w]
 
 
 # ----------------------------------------------------------------- backward
@@ -320,6 +328,10 @@ def backward(model: ModelParams, tape, grad_out):
     """
     _check_tape(tape)
     grads = {}
+    # undo forward's crop onto the frame: the sigmoid's output spans the
+    # decoder grid
+    hd, wd = tape[-1][2][1].shape[1:]
+    grad_out = _pad_hw(grad_out, 0, hd - grad_out.shape[1], 0, wd - grad_out.shape[2])
     (g,) = _backward_layers(DECODER_DEFS, [tape[_N_SCALES * _ENCODER_ENTRIES:]],
                             [grad_out], grads)
     paths = [tape[s * _ENCODER_ENTRIES:(s + 1) * _ENCODER_ENTRIES]
@@ -331,8 +343,7 @@ def backward(model: ModelParams, tape, grad_out):
         # undo the crop, then the upsample, onto this scale's feature grid
         factor = 2 ** s
         h, w = entries[-last][2][2]
-        g = np.pad(g, ((0, 0), (0, h * factor - g.shape[1]),
-                       (0, w * factor - g.shape[2])))
+        g = _pad_hw(g, 0, h * factor - g.shape[1], 0, w * factor - g.shape[2])
         gs.append(upsample_nearest_backward(g, factor))
     _backward_layers(_TRAINED_ENCODER_DEFS, paths, gs, grads)
     return grads
@@ -435,20 +446,22 @@ def _collect_layers(entries, defs, what):
 
 
 def load_weights(path) -> ModelParams:
-    """Strict full-model load; every architecture tensor must be present."""
+    """Strict full-model load; every architecture tensor must be present,
+    with the layer table's trainable flag and L2 factor (as float32)."""
     entries = read_container(path)
     arrays = _collect_layers(entries, ALL_DEFS, str(path))
     dtype = arrays[ALL_DEFS[0].name][0].dtype
     layers = {}
     for d in ALL_DEFS:
+        for key, l2 in ((f"{d.name}.weight", d.l2), (f"{d.name}.bias", 0.0)):
+            _, trainable, found = entries[key]
+            if trainable == d.frozen or np.float32(found) != np.float32(l2):
+                raise ValueError(f"{path}: {key!r} has trainable={trainable} "
+                                 f"l2={np.float32(found)}, which contradicts the layer "
+                                 f"table's trainable={not d.frozen} l2={np.float32(l2)}")
         w, b = arrays[d.name]
-        trainable = entries[f"{d.name}.weight"][1]
-        l2 = entries[f"{d.name}.weight"][2]
-        if trainable == d.frozen:  # flag must match the architecture
-            raise ValueError(f"{path}: {d.name} trainable flag {trainable} "
-                             f"contradicts the architecture")
         layers[d.name] = LayerParams(d.name, w.astype(dtype, copy=False),
-                                     b.astype(dtype, copy=False), trainable, l2)
+                                     b.astype(dtype, copy=False), not d.frozen, d.l2)
     return ModelParams(layers, np.dtype(dtype))
 
 

@@ -54,15 +54,19 @@ def read_netpbm(path):
     width, height, maxval = fields
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: maxval {maxval} out of range")
-    pos += 1  # single whitespace byte separates header from raster
+    pos = min(pos + 1, len(buf))  # one whitespace byte, then the raster
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
-    payload = buf[pos:pos + count * dtype.itemsize]
-    if len(payload) < count * dtype.itemsize:
+    available = len(buf) - pos
+    if available < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated raster "
-                         f"({len(payload)} of {count * dtype.itemsize} bytes)")
-    data = np.frombuffer(payload, dtype=dtype)
+                         f"({available} of {count * dtype.itemsize} bytes)")
+    data = np.frombuffer(buf, dtype, count, offset=pos)  # a view of the file's bytes
+    if not data.flags.aligned:
+        # 16-bit samples after an odd-length header: numpy byte-swaps an
+        # aligned copy several times faster than the unaligned view
+        data = data.copy()
     data = data.astype(np.uint16 if maxval > 255 else np.uint8)
     if channels == 1:
         return data.reshape(height, width)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import pad_to_multiple
 from .kernels import ShapeError
 
 # Each level halves the one above, the factor the decoder's 2**scale
@@ -22,8 +23,8 @@ RADIUS = 3
 @dataclass(frozen=True)
 class PyramidTriple:
     i0: np.ndarray  # (3, H, W), the untouched input
-    i1: np.ndarray  # (3, H/2, W/2)
-    i2: np.ndarray  # (3, H/4, W/4)
+    i1: np.ndarray  # (3, H'/2, W'/2), H' and W' rounded up to multiples of 4
+    i2: np.ndarray  # (3, H'/4, W'/4)
 
     @property
     def scales(self):
@@ -68,15 +69,14 @@ def gaussian_blur(image):
 
 
 def build_pyramid(image) -> PyramidTriple:
-    """Recursive blur+decimate; keeps even-indexed samples at each level."""
+    """Recursive blur+decimate; keeps even-indexed samples at each level.
+    The frame is blurred reflect-padded to multiples of 4, so both halvings
+    are exact; i0 stays the frame as given."""
     image = np.asarray(image)
     if image.ndim != 3:
         raise ShapeError(f"build_pyramid: expected (C, H, W), got {image.shape}")
-    h, w = image.shape[1:]
-    if h % 4 or w % 4:
-        raise ShapeError(f"build_pyramid: extents must be multiples of 4, got {h}x{w}")
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float32)
-    i1 = gaussian_blur(image)[:, ::2, ::2]
+    i1 = gaussian_blur(pad_to_multiple(image, 4)[0])[:, ::2, ::2]
     i2 = gaussian_blur(i1)[:, ::2, ::2]
     return PyramidTriple(image, i1, i2)

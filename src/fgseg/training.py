@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabelMask, pad_labels, pad_to_multiple
+from .data import LabelMask
 from .kernels import NonFiniteError, ShapeError
 from .model import ModelParams, backward, forward, frozen_trunk, get_state, set_state
 from .pyramid import build_pyramid
@@ -193,13 +193,12 @@ class PlateauSchedule:
 # ------------------------------------------------------------ training loop
 
 def _prepare(model: ModelParams, example: TrainingExample):
-    """(frozen trunk, padded labels, w_fg, w_bg); the trunk replaces the pyramid."""
-    labels, _ = pad_labels(example.labels, 4)
+    """(frozen trunk, labels, w_fg, w_bg); the trunk replaces the pyramid."""
+    labels = example.labels
     if not labels.valid.any():
         raise ValueError(f"frame {example.frame_index}: no supervised pixels (all void)")
-    frame, _ = pad_to_multiple(example.frame, 4)
     try:
-        trunk = frozen_trunk(model, build_pyramid(frame))
+        trunk = frozen_trunk(model, build_pyramid(example.frame))
     except NonFiniteError as e:
         raise NonFiniteError(f"frame {example.frame_index}: {e}") from e
     w_fg, w_bg = class_weights(labels)

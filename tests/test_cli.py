@@ -101,7 +101,7 @@ def test_train_banner_and_outputs(tmp_path, capsys):
     assert run("train", *TINY, "--epochs", 2, "--weights-out", weights) == 0
     out = capsys.readouterr().out
     for token in ("lr=1e-4", "rho=0.9", "eps=1e-8", "val-split=0.2",
-                  "threshold=0.8", "batch=1"):
+                  "batch=1"):
         assert token in out, token
     assert weights.exists()
     history = tmp_path / "model.history.csv"
@@ -191,6 +191,20 @@ def test_numeric_failure_is_one_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_has_no_threshold(tmp_path, capsys):
+    # a flag or config line that would reach only the banner is a usage error
+    assert exit_code("train", *TINY, "--weights-out", tmp_path / "w.fgsn",
+                     "--threshold", "0.5") == 2
+    assert capsys.readouterr().err == \
+        "fgseg train: unrecognized arguments: --threshold 0.5\n"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("threshold=0.5\n")
+    assert run("train", *TINY, "--config", cfgfile,
+               "--weights-out", tmp_path / "w.fgsn") == 2
+    assert capsys.readouterr().err == "fgseg train: unknown config key 'threshold'\n"
+    assert not (tmp_path / "w.fgsn").exists()
+
+
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2
@@ -249,6 +263,26 @@ def test_segment_numbering_mirrors_input_files(tmp_path, trained):
                "--out", masks) == 0
     assert sorted(p.name for p in masks.iterdir()) == \
         ["bin000001.pgm", "bin000002.pgm", "bin000003.pgm"]
+
+
+def test_every_command_takes_frames_of_any_size(tmp_path):
+    # 30x22: neither side a multiple of 4
+    size = ("--width", 30, "--height", 22)
+    scene = tmp_path / "scene"
+    assert run("synth", "--out", scene, "--frames", 6, *size) == 0
+    weights = tmp_path / "w.fgsn"
+    assert run("train", "--data", scene, "--frames", 5, "--epochs", 1,
+               "--weights-out", weights) == 0
+    assert run("train", "--synthetic", *size, "--frames", 5, "--epochs", 1,
+               "--weights-out", tmp_path / "synthetic.fgsn") == 0
+    for name, source in (("data", ("--data", scene)),
+                         ("synthetic", ("--synthetic", *size, "--frames", 2))):
+        masks, probs = tmp_path / name / "masks", tmp_path / name / "probs"
+        assert run("segment", *source, "--weights-in", weights, "--out", masks,
+                   "--probs", probs) == 0
+        written = sorted(masks.iterdir()) + sorted(probs.iterdir())
+        assert len(written) == 2 * (6 if name == "data" else 2)
+        assert all(netpbm.read_netpbm(p).shape == (22, 30) for p in written)
 
 
 def test_segment_missing_weights_is_one_line(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,10 @@ from fgseg.data import (
     CODE_FOREGROUND,
     CODE_OUTSIDE_ROI,
     CODE_UNKNOWN,
-    LabelMask,
     SynthConfig,
     crop_back,
     decode_label,
     load_sequence,
-    pad_labels,
     pad_to_multiple_of_4,
     read_frame,
     read_labels,
@@ -38,12 +38,14 @@ def test_pgm_roundtrip_8bit(tmp_path):
 
 def test_pgm_roundtrip_16bit(tmp_path):
     rng = np.random.default_rng(41)
-    img = rng.integers(0, 65536, size=(5, 7), dtype=np.uint16)
-    p = tmp_path / "x.pgm"
-    write_pgm(p, img)
-    back = read_netpbm(p)
-    assert back.dtype == np.uint16
-    assert np.array_equal(back, img)
+    # a 13- and a 14-byte header: the raster starts unaligned, then aligned
+    for shape in ((5, 7), (5, 16)):
+        img = rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        p = tmp_path / "x.pgm"
+        write_pgm(p, img)
+        back = read_netpbm(p)
+        assert back.dtype == np.uint16
+        assert np.array_equal(back, img)
 
 
 def test_ppm_roundtrip(tmp_path):
@@ -79,6 +81,12 @@ def test_netpbm_truncated_and_bad_magic(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
+        read_netpbm(p)
+    p.write_bytes(b"P5\n2 2\n65535\n\x00\x00\x00")
+    with pytest.raises(ValueError, match=re.escape("truncated raster (3 of 8 bytes)")):
+        read_netpbm(p)
+    p.write_bytes(b"P5\n2 2\n255")
+    with pytest.raises(ValueError, match=re.escape("truncated raster (0 of 4 bytes)")):
         read_netpbm(p)
     p.write_bytes(b"P3\n1 1\n255\n0")
     with pytest.raises(ValueError, match="magic"):
@@ -175,15 +183,6 @@ def test_pad_and_crop_roundtrip():
     assert np.array_equal(padded[:, :, 321], img[:, :, 319])
 
 
-def test_pad_labels_fills_void():
-    m = LabelMask(np.full((5, 6), 255, dtype=np.uint8))
-    padded, extents = pad_labels(m, 4)
-    assert padded.shape == (8, 8) and extents == (5, 6)
-    assert (padded.raw[5:, :] == CODE_OUTSIDE_ROI).all()
-    assert (padded.raw[:, 6:] == CODE_OUTSIDE_ROI).all()
-    assert padded.valid.sum() == 30
-
-
 # synthetic scenes ------------------------------------------------------
 
 def test_synth_static_object_constant_frames():
@@ -216,8 +215,8 @@ def test_synth_rect_pixel_count_matches_area():
 
 
 def test_synth_config_validation():
-    with pytest.raises(ValueError, match="multiples of 4"):
-        SynthConfig(width=66)
+    frame, labels = synth_sequence(SynthConfig(width=30, height=22, n_frames=1))[0]
+    assert frame.shape == (3, 22, 30) and labels.shape == (22, 30)
     with pytest.raises(ValueError, match="object_size"):
         SynthConfig(object_size=1)
     with pytest.raises(ValueError, match="fit"):

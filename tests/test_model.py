@@ -6,6 +6,7 @@ import pytest
 import oracles
 from fgseg import kernels
 from fgseg import model as M
+from fgseg.data import SynthConfig, crop_back, pad_to_multiple_of_4, synth_sequence
 from fgseg.kernels import (
     NonFiniteError,
     ShapeError,
@@ -328,6 +329,25 @@ def test_frozen_trunk_forward_is_bit_identical(dtype):
     assert [e[:2] for e in tapes[0]] == [e[:2] for e in tapes[1]]
 
 
+def _unaligned_frame(dtype):
+    # 58x62, cropped from a 64x64 synthetic scene: no side a multiple of 4
+    frame = synth_sequence(SynthConfig(n_frames=1, seed=3))[0][0][:, 3:61, 1:63]
+    return frame.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_pads_and_crops_unaligned_frames(dtype):
+    m = build_model(seed=1, dtype=dtype)
+    frame = _unaligned_frame(dtype)
+    padded, extents = pad_to_multiple_of_4(frame)
+    expected = crop_back(forward(m, build_pyramid(padded)), extents)
+    pyr = build_pyramid(frame)
+    got = forward(m, pyr)
+    assert got.shape == (1, 58, 62) and got.dtype == dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(forward(m, M.frozen_trunk(m, pyr)), expected)
+
+
 def _plain_backward(tape, grad_out):
     """Reference: the tape walked entry by entry, one scale at a time,
     through the single-input kernels; encoder gradients summed over scales."""
@@ -501,6 +521,43 @@ def test_load_rejects_contradictory_trainable_flag(small_model, tmp_path):
     save_weights(twisted, p)
     with pytest.raises(ValueError, match="contradicts"):
         load_weights(p)
+
+
+def _container_off_the_table(model, path, key):
+    """Save model to path with one tensor's flag or L2 contradicting the table:
+    0.3 L2 on a decoder weight, or a trainable bias flagged frozen."""
+    layers = {n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+              for n, p in model.layers.items()}
+    name, tensor = key.rsplit(".", 1)
+    if tensor == "weight":
+        layers[name].l2 = 0.3
+    save_weights(ModelParams(layers, model.dtype), path)
+    if tensor == "bias":
+        import struct
+        blob = bytearray(path.read_bytes())
+        raw = key.encode()
+        flag = blob.index(struct.pack("<H", len(raw)) + raw) + 2 + len(raw) + 2 + 4
+        assert blob[flag] == 1
+        blob[flag] = 0
+        path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("key", ["dec.b5.t1x1a.weight", "enc.b4.c1.bias"])
+def test_load_rejects_flags_or_l2_off_the_layer_table(small_model, tmp_path, key):
+    path = tmp_path / "w.fgsn"
+    _container_off_the_table(small_model, path, key)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {key!r} has ")) as info:
+        load_weights(path)
+    assert "\n" not in str(info.value) and "contradicts the layer table" in str(info.value)
+
+
+def test_loaded_l2_comes_from_the_layer_table(small_model, tmp_path):
+    path = tmp_path / "w.fgsn"
+    save_weights(small_model, path)
+    loaded = load_weights(path)
+    # the file holds 5e-4 as float32, 5.000000237e-4
+    assert [loaded[d.name].l2 for d in ALL_DEFS] == [d.l2 for d in ALL_DEFS]
+    assert loaded["dec.b5.t1x1a"].l2 == DECODER_L2
 
 
 def test_build_model_from_encoder_container(small_model, tmp_path):

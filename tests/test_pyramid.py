@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fgseg.kernels import ShapeError
+from fgseg.data import pad_to_multiple_of_4
 from fgseg.pyramid import RADIUS, SIGMA, build_pyramid, gaussian_blur, gaussian_taps
 
 
@@ -59,11 +59,16 @@ def test_pyramid_shapes():
     assert pyr.i2.shape == (3, 16, 16)
 
 
-def test_pyramid_rejects_non_multiple_of_4():
-    with pytest.raises(ShapeError, match="multiples of 4"):
-        build_pyramid(np.zeros((3, 66, 64), dtype=np.float32))
-    with pytest.raises(ShapeError, match="multiples of 4"):
-        build_pyramid(np.zeros((3, 64, 30), dtype=np.float32))
+def test_pyramid_of_any_frame_keeps_i0_untouched():
+    rng = np.random.default_rng(31)
+    for h, w, i2_shape in ((66, 64, (17, 16)), (64, 30, (16, 8))):
+        img = rng.uniform(0, 255, size=(3, h, w)).astype(np.float32)
+        pyr = build_pyramid(img)
+        assert pyr.i0 is img
+        # the halvings are those of the frame reflect-padded to multiples of 4
+        padded = build_pyramid(pad_to_multiple_of_4(img)[0])
+        assert pyr.i2.shape[1:] == i2_shape
+        assert np.array_equal(pyr.i1, padded.i1) and np.array_equal(pyr.i2, padded.i2)
 
 
 def test_pyramid_of_constant_is_constant():

@@ -389,6 +389,28 @@ def test_training_is_deterministic_under_a_seed():
         assert np.array_equal(m1[name].bias, m2[name].bias)
 
 
+def test_training_on_unaligned_frames_matches_the_padded_frames():
+    # 58x62 crops of a 64x64 scene, against the same crops reflect-padded to
+    # 60x64 with their labels padded by void: the same loss pixels, in the
+    # same order, so the same weights and history
+    crops = [(f[:, 3:61, 1:63], labels_of(g.raw[3:61, 1:63]))
+             for f, g in data.synth_sequence(SynthConfig(n_frames=5, seed=3))]
+    padded = []
+    for frame, labels in crops:
+        raw = np.full((60, 64), data.CODE_OUTSIDE_ROI, dtype=np.uint8)
+        raw[:58, :62] = labels.raw
+        padded.append((data.pad_to_multiple_of_4(frame)[0], labels_of(raw)))
+    runs = [train(TrainConfig(epochs=2, seed=6), training.examples_from_pairs(pairs),
+                  model.build_model(seed=2))
+            for pairs in (crops, padded)]
+    (m1, h1), (m2, h2) = runs
+    assert (h1.train_loss, h1.val_loss, h1.lr, h1.checkpoint_epoch) == \
+        (h2.train_loss, h2.val_loss, h2.lr, h2.checkpoint_epoch)
+    for name in m1.layers:
+        assert np.array_equal(m1[name].weights, m2[name].weights)
+        assert np.array_equal(m1[name].bias, m2[name].bias)
+
+
 def test_frozen_encoder_blocks_never_move():
     m = model.build_model(seed=4)
     before = {p.name: (p.weights.copy(), p.bias.copy())
