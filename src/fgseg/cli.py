@@ -57,11 +57,10 @@ class _Parser(argparse.ArgumentParser):
         return ns
 
 
-def _build_parser(data, training):
-    """Defaults come from the library's own config dataclasses."""
-    synth, train = data.SynthConfig(), training.TrainConfig()
-    scene = dict(width=synth.width, height=synth.height,
-                 objects=synth.n_objects)
+def _build_parser(training):
+    """Defaults come from the library's own config dataclasses: TrainConfig's
+    here, SynthConfig's when validate builds the scene from the flags given."""
+    train = training.TrainConfig()
     parser = _Parser(
         prog="fgseg",
         description="Scene-specific foreground segmentation: train on a few "
@@ -76,16 +75,18 @@ def _build_parser(data, training):
             p.add_argument(*args, **kwargs)
         p.set_defaults(**defaults)
 
-    source = [
-        (("--data",), dict(help="sequence root (input/ + groundtruth/)")),
-        (("--synthetic",), dict(action="store_true",
-                                help="use a generated scene instead of --data")),
+    scene_flags = [
         (("--width",), dict(type=int, help="synthetic frame width")),
         (("--height",), dict(type=int, help="synthetic frame height")),
         (("--objects",), dict(type=int, help="synthetic object count")),
         (("--seed",), dict(type=int)),
     ]
-    precision = (("--precision",), dict(choices=tuple(PRECISIONS), default="f32"))
+    source = [
+        (("--data",), dict(help="sequence root (input/ + groundtruth/)")),
+        (("--synthetic",), dict(action="store_true",
+                                help="use a generated scene instead of --data")),
+        *scene_flags,
+    ]
     add("train", "fit a model to one sequence", *source,
         (("--manifest",), dict(help="file of 0-based frame indices, one per line")),
         (("--frames",), dict(type=int, help="training frame count")),
@@ -95,15 +96,15 @@ def _build_parser(data, training):
                                  help="container with pretrained encoder weights")),
         (("--weights-out",), dict(dest="weights_out")),
         (("--out",), dict(help="history CSV path (default: alongside weights)")),
-        precision,
-        frames=train.n_frames, lr=train.lr, seed=train.seed, **scene)
+        (("--precision",), dict(choices=tuple(PRECISIONS), default="f32")),
+        frames=train.n_frames, lr=train.lr, seed=train.seed)
     add("segment", "write binary masks for every frame", *source,
         (("--frames",), dict(type=int, help="synthetic frame count")),
         (("--weights-in",), dict(dest="weights_in")),
         (("--threshold",), dict(type=float)),
         (("--out",), dict(help="mask output directory")),
         (("--probs",), dict(help="also dump 16-bit probability maps here")),
-        frames=synth.n_frames, seed=synth.seed, threshold=THRESHOLD, **scene)
+        threshold=THRESHOLD)
     add("evaluate", "score masks against ground truth",
         (("--data",), dict(help="sequence root or category tree")),
         (("--masks",), dict(help="mask directory (mirrors --data layout)")),
@@ -115,13 +116,8 @@ def _build_parser(data, training):
     add("synth", "generate a synthetic sequence on disk",
         (("--out",), dict(help="output directory")),
         (("--frames",), dict(type=int)),
-        (("--width",), dict(type=int)),
-        (("--height",), dict(type=int)),
-        (("--objects",), dict(type=int)),
-        (("--seed",), dict(type=int)),
-        frames=synth.n_frames, seed=synth.seed, **scene)
-    add("info", "print the parameter report",
-        (("--seed",), dict(type=int)), precision, seed=train.seed)
+        *scene_flags)
+    add("info", "print the parameter report")
     return parser
 
 
@@ -165,7 +161,13 @@ def _require(cfg, *names):
 
 
 def validate(cfg):
-    """All flag-combination checks run here, before any file is touched."""
+    """All flag-combination checks run here, before any file is touched.
+    The scene and training rules are the library configs' own: a synthetic
+    scene's SynthConfig is built here from the flags given, as cfg.scene for
+    the command to use; a flag left unset takes the SynthConfig default."""
+    # main() has pinned the threads by now, so numpy may load
+    from .data import SynthConfig
+    from .training import TrainConfig
     if cfg.command in ("train", "segment"):
         if cfg.synthetic and cfg.data:
             raise ValueError("--data and --synthetic are mutually exclusive")
@@ -173,10 +175,7 @@ def validate(cfg):
             raise ValueError(f"{cfg.command} requires --data or --synthetic")
     if cfg.command == "train":
         _require(cfg, "weights_out")
-        if cfg.frames < 5:
-            raise ValueError("need at least 5 training frames")
-        from .training import TrainConfig  # main() has pinned the threads by now
-        TrainConfig(epochs=cfg.epochs, lr=cfg.lr)  # its epochs and lr rules
+        TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
         if not 0.0 < cfg.threshold < 1.0:
@@ -187,6 +186,10 @@ def validate(cfg):
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
+    if cfg.command == "synth" or getattr(cfg, "synthetic", False):
+        given = dict(width=cfg.width, height=cfg.height, n_frames=cfg.frames,
+                     n_objects=cfg.objects, seed=cfg.seed)
+        cfg.scene = SynthConfig(**{k: v for k, v in given.items() if v is not None})
     return cfg
 
 
@@ -205,18 +208,12 @@ def _frame_number(path, index):
 
 # ------------------------------------------------------------------ commands
 
-def _synth_config(cfg, data):
-    return data.SynthConfig(width=cfg.width, height=cfg.height,
-                            n_frames=cfg.frames, n_objects=cfg.objects,
-                            seed=cfg.seed)
-
-
 def _training_examples(cfg, data, training):
     manifest = training.read_manifest(cfg.manifest) if cfg.manifest else None
     if cfg.synthetic:
-        pairs = data.synth_sequence(_synth_config(cfg, data))
-        indices = training.select_frames(len(pairs), min(cfg.frames, len(pairs)),
-                                         cfg.seed, focus_list=manifest)
+        pairs = data.synth_sequence(cfg.scene)
+        indices = training.select_frames(len(pairs), cfg.frames, cfg.seed,
+                                         focus_list=manifest)
         return training.examples_from_pairs(pairs, indices)
     handle = data.load_sequence(cfg.data)
     start, stop = data.temporal_range(handle)
@@ -268,7 +265,7 @@ def cmd_train(cfg, data, model, training):
 def _segment_inputs(cfg, data):
     """Yields (mask number, frame tensor)."""
     if cfg.synthetic:
-        pairs = data.synth_sequence(_synth_config(cfg, data))
+        pairs = data.synth_sequence(cfg.scene)
         for i, (frame, _) in enumerate(pairs):
             yield i + 1, frame
     else:
@@ -300,6 +297,20 @@ def cmd_segment(cfg, data, model, pyramid):
     print(f"segment: {len(seconds)} frames, {len(seconds) / sum(seconds):.3f} frames/s, "
           f"latency p50 {p50:.1f} ms p95 {p95:.1f} ms")
     return 0
+
+
+def _report(cfg, rows, data, metrics, *lines):
+    """The table, a note naming any 0/0 ratio, lines, then the CSV to --out."""
+    print(metrics.format_table(rows))
+    flagged = sorted({name for _, r in rows for name in r.degenerate})
+    if flagged:
+        print(f"degenerate ratios (0/0 reported as 0): {', '.join(flagged)}")
+    for line in lines:
+        print(line)
+    if cfg.out:
+        with data.atomic_write(cfg.out, "w", newline="") as fh:
+            metrics.emit_csv(rows, fh)
+        print(f"wrote {cfg.out}")
 
 
 def _score_video(video_root, masks_dir, data, metrics):
@@ -345,14 +356,7 @@ def cmd_evaluate(cfg, data, metrics):
     if len(tree) > 1 or len(next(iter(tree.values()))) > 1:
         rows.extend(sorted(per_category.items()))
     rows.append(("Overall", overall))
-    print(metrics.format_table(rows))
-    flagged = sorted({name for _, r in rows for name in r.degenerate})
-    if flagged:
-        print(f"degenerate ratios (0/0 reported as 0): {', '.join(flagged)}")
-    if cfg.out:
-        with data.atomic_write(cfg.out, "w", newline="") as fh:
-            metrics.emit_csv(rows, fh)
-        print(f"wrote {cfg.out}")
+    _report(cfg, rows, data, metrics)
     return 0
 
 
@@ -371,26 +375,21 @@ def cmd_sweep(cfg, data, metrics):
                                      (data.read_labels(handle, i) for i in frames),
                                      thresholds)
     rows = [(f"{t:.1f}", r) for t, r in zip(result.thresholds, result.reports)]
-    print(metrics.format_table(rows))
-    print(f"best threshold: {result.best_threshold:.1f} "
-          f"(F-Measure={result.best_f:.4f})")
-    if cfg.out:
-        with data.atomic_write(cfg.out, "w", newline="") as fh:
-            metrics.emit_csv(rows, fh)
-        print(f"wrote {cfg.out}")
+    _report(cfg, rows, data, metrics, f"best threshold: {result.best_threshold:.1f} "
+                                      f"(F-Measure={result.best_f:.4f})")
     return 0
 
 
 def cmd_synth(cfg, data):
-    sc = _synth_config(cfg, data)
+    sc = cfg.scene
     data.write_synth_dataset(sc, cfg.out)
     print(f"synth: wrote {sc.n_frames} frames ({sc.width}x{sc.height}, "
           f"{sc.n_objects} objects, seed {sc.seed}) to {cfg.out}")
     return 0
 
 
-def cmd_info(cfg, model):
-    net = model.build_model(seed=cfg.seed, dtype=PRECISIONS[cfg.precision])
+def cmd_info(model):
+    net = model.build_model()
     total, trainable, frozen = model.count_parameters(net)
     print(f"parameters: total={total:,} trainable={trainable:,} frozen={frozen:,}")
     header = ("layer", "kind", "weights", "params", "trainable", "l2")
@@ -412,7 +411,7 @@ def main(argv=None):
         return 2
     import numpy as np
     from . import data, metrics, model, pyramid, training
-    parser = _build_parser(data, training)
+    parser = _build_parser(training)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
@@ -434,7 +433,7 @@ def main(argv=None):
                 return cmd_sweep(cfg, data, metrics)
             if cfg.command == "synth":
                 return cmd_synth(cfg, data)
-            return cmd_info(cfg, model)
+            return cmd_info(model)
     except (ValueError, OSError, ArithmeticError) as e:
         message = str(e).splitlines()[0] if str(e) else type(e).__name__
         print(f"fgseg {cfg.command}: {message}", file=sys.stderr)

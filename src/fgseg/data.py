@@ -169,10 +169,7 @@ def load_sequence(root) -> SequenceHandle:
     for cand in sorted(root.glob("ROI.*")):
         ext = cand.suffix.lower().lstrip(".")
         if ext in _READERS:
-            img = load_image(cand)
-            if img.ndim == 3:
-                img = img[:, :, 0]
-            roi = img > 127
+            roi = read_mask(cand)
             break
     temporal = None
     troi = root / "temporalROI.txt"
@@ -356,15 +353,24 @@ def write_synth_dataset(config: SynthConfig, root):
 
 # ------------------------------------------------------------------- outputs
 
+def as_map(values, caller, shape=None):
+    """A per-pixel map is (H, W) or (1, H, W); returns it as (H, W), which
+    must equal shape (the labels' shape) when one is given."""
+    values = np.asarray(values)
+    if values.ndim == 3 and values.shape[0] == 1:
+        values = values[0]
+    if values.ndim != 2:
+        raise ShapeError(f"{caller}: expected (H, W) or (1, H, W), got {values.shape}")
+    if shape is not None and values.shape != shape:
+        raise ShapeError(f"{caller}: map {values.shape} vs labels {shape}")
+    return values
+
+
 def write_mask(probs, threshold, path):
     """Binarize strictly above threshold and write an 8-bit PGM."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    probs = np.asarray(probs)
-    if probs.ndim == 3:
-        if probs.shape[0] != 1:
-            raise ShapeError(f"write_mask: expected (1,H,W), got {probs.shape}")
-        probs = probs[0]
+    probs = as_map(probs, "write_mask")
     mask = np.where(probs > threshold, 255, 0).astype(np.uint8)
     write_pgm(path, mask)
     return mask
@@ -372,9 +378,7 @@ def write_mask(probs, threshold, path):
 
 def write_prob_map(probs, path):
     """Dump probabilities as a 16-bit PGM scaled to 0..65535."""
-    probs = np.asarray(probs)
-    if probs.ndim == 3:
-        probs = probs[0]
+    probs = as_map(probs, "write_prob_map")
     scaled = np.rint(np.clip(probs, 0.0, 1.0) * 65535.0).astype(np.uint16)
     write_pgm(path, scaled)
 

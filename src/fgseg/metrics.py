@@ -9,8 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import LabelMask
-from .kernels import ShapeError
+from .data import LabelMask, as_map
 
 METRIC_COLUMNS = ("Recall", "Specificity", "FPR", "FNR", "PWC",
                   "Precision", "F-Measure", "MCC")
@@ -54,20 +53,9 @@ class MetricsReport:
                 self.pwc, self.precision, self.f_measure, self.mcc)
 
 
-def _frame(values, labels: LabelMask, caller):
-    """values as (H, W), a leading 1-axis squeezed, checked against labels."""
-    values = np.asarray(values)
-    if values.ndim == 3 and values.shape[0] == 1:
-        values = values[0]
-    if values.shape != labels.shape:
-        raise ShapeError(f"{caller}: prediction {values.shape} vs "
-                         f"labels {labels.shape}")
-    return values
-
-
 def accumulate(pred, labels: LabelMask) -> ConfusionCounts:
     """Count a binary prediction against ground truth, skipping void pixels."""
-    pred = _frame(pred, labels, "accumulate").astype(bool, copy=False)
+    pred = as_map(pred, "accumulate", labels.shape).astype(bool, copy=False)
     fg, bg = labels.foreground, labels.background
     tp, fp = int(np.count_nonzero(pred & fg)), int(np.count_nonzero(pred & bg))
     return ConfusionCounts(tp, fp, int(np.count_nonzero(fg)) - tp,
@@ -137,7 +125,7 @@ def threshold_sweep(prob_maps, label_masks, thresholds) -> SweepResult:
         if labels is None:
             continue  # out of masks: count the maps left, for the error below
         n_masks += 1
-        p = _frame(probs, labels, "threshold_sweep")
+        p = as_map(probs, "threshold_sweep", labels.shape)
         pf, pb = p[labels.foreground], p[labels.background]  # once, for all t
         hits += [(np.count_nonzero(pf > t), np.count_nonzero(pb > t))
                  for t in thresholds]

@@ -132,15 +132,15 @@ def build_model(encoder_weights=None, seed=0, dtype=np.float32) -> ModelParams:
     """Assemble the full parameter set.
 
     encoder_weights: optional container path holding exactly the 10 encoder
-    conv layers; everything else is random-initialized with fan-based
-    uniform bounds and zero biases.
+    conv layers, checked as strictly as load_weights checks a full model;
+    everything else is random-initialized with fan-based uniform bounds and
+    zero biases.
     """
     dtype = np.dtype(dtype)
     rng = np.random.default_rng(seed)
     pretrained = None
     if encoder_weights is not None:
-        pretrained = _collect_layers(read_container(encoder_weights), ENCODER_DEFS,
-                                     "encoder container")
+        pretrained = _read_layers(encoder_weights, ENCODER_DEFS)
     layers = {}
     for d in ALL_DEFS:
         shape = _weight_shape(d)
@@ -424,41 +424,40 @@ def read_container(path):
     return entries
 
 
-def _collect_layers(entries, defs, what):
-    """Validate entry names/shapes against layer definitions, strictly."""
-    expected = set()
+def _read_layers(path, defs):
+    """{layer name: (weights, bias)} from a container holding exactly the
+    tensors of defs, each with the layer table's shape, trainable flag and
+    L2 factor (compared as float32); every error names the file."""
+    entries = read_container(path)
     out = {}
     for d in defs:
-        wname, bname = f"{d.name}.weight", f"{d.name}.bias"
-        expected.update((wname, bname))
-        for key, shape in ((wname, _weight_shape(d)), (bname, (d.out_ch,))):
+        arrays = []
+        for key, shape, l2 in ((f"{d.name}.weight", _weight_shape(d), d.l2),
+                               (f"{d.name}.bias", (d.out_ch,), 0.0)):
             if key not in entries:
-                raise ValueError(f"{what}: missing tensor {key!r}")
-            arr = entries[key][0]
+                raise ValueError(f"{path}: missing tensor {key!r}")
+            arr, trainable, found = entries.pop(key)
             if arr.shape != shape:
-                raise ValueError(f"{what}: {key!r} has shape {arr.shape}, "
+                raise ValueError(f"{path}: {key!r} has shape {arr.shape}, "
                                  f"expected {shape}")
-        out[d.name] = (entries[wname][0], entries[bname][0])
-    unknown = sorted(set(entries) - expected)
-    if unknown:
-        raise ValueError(f"{what}: unknown tensors {unknown}")
+            if trainable == d.frozen or np.float32(found) != np.float32(l2):
+                raise ValueError(f"{path}: {key!r} has trainable={trainable} "
+                                 f"l2={np.float32(found)}, which contradicts the layer "
+                                 f"table's trainable={not d.frozen} l2={np.float32(l2)}")
+            arrays.append(arr)
+        out[d.name] = tuple(arrays)
+    if entries:
+        raise ValueError(f"{path}: unknown tensors {sorted(entries)}")
     return out
 
 
 def load_weights(path) -> ModelParams:
     """Strict full-model load; every architecture tensor must be present,
-    with the layer table's trainable flag and L2 factor (as float32)."""
-    entries = read_container(path)
-    arrays = _collect_layers(entries, ALL_DEFS, str(path))
+    as _read_layers checks it."""
+    arrays = _read_layers(path, ALL_DEFS)
     dtype = arrays[ALL_DEFS[0].name][0].dtype
     layers = {}
     for d in ALL_DEFS:
-        for key, l2 in ((f"{d.name}.weight", d.l2), (f"{d.name}.bias", 0.0)):
-            _, trainable, found = entries[key]
-            if trainable == d.frozen or np.float32(found) != np.float32(l2):
-                raise ValueError(f"{path}: {key!r} has trainable={trainable} "
-                                 f"l2={np.float32(found)}, which contradicts the layer "
-                                 f"table's trainable={not d.frozen} l2={np.float32(l2)}")
         w, b = arrays[d.name]
         layers[d.name] = LayerParams(d.name, w.astype(dtype, copy=False),
                                      b.astype(dtype, copy=False), not d.frozen, d.l2)

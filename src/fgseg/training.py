@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabelMask
+from .data import LabelMask, as_map
 from .kernels import NonFiniteError, ShapeError
 from .model import ModelParams, backward, forward, frozen_trunk, get_state, set_state
 from .pyramid import build_pyramid
@@ -21,6 +21,13 @@ PROB_CLIP = 1e-7
 RHO = 0.9          # RMSProp decay of the squared-gradient average
 EPSILON = 1e-8     # RMSProp denominator guard
 VAL_SPLIT = 0.20   # share of the examples held out for validation
+
+
+def _check_frame_count(n):
+    # at least one frame to validate on and four to train on
+    if n < 5:
+        raise ValueError(f"need at least 5 training frames for a "
+                         f"{VAL_SPLIT:.0%} validation split, got {n}")
 
 
 @dataclass
@@ -43,6 +50,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_frame_count(self.n_frames)
         if self.epochs is None:
             self.epochs = 60 if self.n_frames <= 50 else 50
         if self.epochs < 1:
@@ -89,9 +97,16 @@ def select_frames(total, n, seed, focus_list=None):
 
 def read_manifest(path):
     """Manual-selection manifest: one frame index per line, # comments allowed."""
+    indices = []
     with open(path) as fh:
-        lines = [line.split("#", 1)[0].strip() for line in fh]
-    indices = [int(line) for line in lines if line]
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if not line.isdecimal():
+                raise ValueError(f"{path}:{lineno}: expected a 0-based frame "
+                                 f"index, got {line!r}")
+            indices.append(int(line))
     if not indices:
         raise ValueError(f"{path}: manifest selects no frames")
     return indices
@@ -115,9 +130,7 @@ def weighted_bce(probs, labels: LabelMask, w_fg, w_bg):
     zero where the clip to [1e-7, 1-1e-7] is active.
     """
     probs = np.asarray(probs)
-    p2 = probs[0] if probs.ndim == 3 else probs
-    if p2.shape != labels.shape:
-        raise ShapeError(f"weighted_bce: probs {p2.shape} vs labels {labels.shape}")
+    p2 = as_map(probs, "weighted_bce", labels.shape)
     valid = labels.valid
     m = int(valid.sum())
     if m == 0:
@@ -130,8 +143,7 @@ def weighted_bce(probs, labels: LabelMask, w_fg, w_bg):
     loss = -float(np.sum(w[valid] * terms[valid])) / m
     grad2 = np.where(y, -w / p, w / (1.0 - p)) / m
     grad2 = np.where(valid & inside, grad2, 0.0).astype(probs.dtype)
-    grad = grad2[None] if probs.ndim == 3 else grad2
-    return loss, grad
+    return loss, grad2.reshape(probs.shape)
 
 
 # --------------------------------------------------------------- optimizer
@@ -224,10 +236,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
     TrainHistory).  A NonFiniteError is re-raised naming its epoch, step and
     frame, or only its frame when the frozen trunk raises it before epoch 1.
     """
-    if len(examples) < 5:
-        raise ValueError(f"need at least 5 examples for a "
-                         f"{VAL_SPLIT:.0%} validation split, "
-                         f"got {len(examples)}")
+    _check_frame_count(len(examples))
     rng = np.random.default_rng(config.seed)
 
     # phase 1 shuffle: who lands in the validation split

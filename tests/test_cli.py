@@ -72,16 +72,18 @@ def test_synth_dataset_round_trips(tmp_path, capsys):
 
 
 def test_usage_error_is_one_line(capsys):
-    assert exit_code("info", "--precision", "f16") == 2
+    assert exit_code("train", "--precision", "f16") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("fgseg info: argument --precision: invalid choice")
+    assert err.startswith("fgseg train: argument --precision: invalid choice")
 
 
 def test_unknown_flag_names_the_command(capsys):
-    assert exit_code("info", "--bogus") == 2
-    err = capsys.readouterr().err
-    assert err == "fgseg info: unrecognized arguments: --bogus\n"
+    # info takes only --config: its model is built the same way every time
+    for flags in (("--bogus",), ("--seed", "3"), ("--precision", "f64")):
+        assert exit_code("info", *flags) == 2
+        err = capsys.readouterr().err
+        assert err == f"fgseg info: unrecognized arguments: {' '.join(flags)}\n"
 
 
 def test_synth_requires_out(tmp_path, capsys):
@@ -170,10 +172,15 @@ def test_train_validates_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--weights-out" in err
     assert list(tmp_path.iterdir()) == []
-    # TrainConfig's own rules, applied before any frame is read or generated
+    # TrainConfig's and SynthConfig's own rules, applied before any frame is
+    # read or generated
     for flags, message in ((("--epochs", 0), "epochs must be at least 1, got 0"),
                            (("--epochs", -2), "epochs must be at least 1, got -2"),
-                           (("--lr", 0), "lr must be positive, got 0.0")):
+                           (("--lr", 0), "lr must be positive, got 0.0"),
+                           (("--frames", 3), "need at least 5 training frames "
+                                             "for a 20% validation split, got 3"),
+                           (("--width", 8, "--height", 8),
+                            "object_size 10 does not fit in 8x8")):
         assert run("train", *TINY, *flags, "--weights-out", tmp_path / "w.fgsn") == 2
         assert capsys.readouterr().err == f"fgseg train: {message}\n"
         assert list(tmp_path.iterdir()) == []
@@ -366,12 +373,23 @@ def test_sweep_emits_nine_rows_and_best_line(tmp_path, capsys):
         data.write_prob_map(pm, probs / f"prob{i + 1:06d}.pgm")
     out_csv = tmp_path / "sweep.csv"
     assert run("sweep", "--data", scene, "--probs", probs, "--out", out_csv) == 0
-    out = capsys.readouterr().out
-    assert "best threshold:" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("best threshold:")
+    assert out[-1] == f"wrote {out_csv}"
+    assert not any(line.startswith("degenerate") for line in out)
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 10  # header + 9 thresholds
     assert [r[0] for r in rows[1:]] == [f"{k / 10:.1f}" for k in range(1, 10)]
+    # no map exceeds a threshold: Precision, F-Measure and MCC are 0/0, and
+    # the report says so, as evaluate's does
+    for i in range(len(handle)):
+        data.write_prob_map(np.full((16, 16), 0.05, np.float32),
+                            probs / f"prob{i + 1:06d}.pgm")
+    assert run("sweep", "--data", scene, "--probs", probs) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["degenerate ratios (0/0 reported as 0): F-Measure, MCC, Precision",
+                        "best threshold: 0.1 (F-Measure=0.0000)"]
 
 
 def test_sweep_holds_one_probability_map_at_a_time(tmp_path, monkeypatch, capsys):
@@ -451,6 +469,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfgfile.write_text("learning_rate=0.1\n")
     assert run("info", "--config", cfgfile) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "segment"])
+def test_scene_too_small_fails_before_any_work(tmp_path, capsys, command):
+    flags = ("--weights-in", tmp_path / "w.fgsn", "--synthetic") \
+        if command == "segment" else ()
+    assert run(command, *flags, "--width", 8, "--height", 8,
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == \
+        f"fgseg {command}: object_size 10 does not fit in 8x8\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_threshold_fails_before_any_work(tmp_path, capsys):

@@ -23,6 +23,7 @@ from fgseg.data import (
     read_prob_map,
     write_synth_dataset,
 )
+from fgseg.kernels import ShapeError
 from fgseg.netpbm import atomic_write, read_netpbm, write_pgm, write_ppm
 
 
@@ -316,6 +317,13 @@ def test_prob_map_roundtrip(tmp_path):
     back = read_prob_map(path)
     assert back.shape == (6, 6)
     assert np.max(np.abs(back - probs[0])) <= 0.5 / 65535.0 + 1e-9
+    # a map is (H, W) or (1, H, W); a second channel is an error, not dropped
+    two = np.concatenate([probs, probs])
+    with pytest.raises(ShapeError, match="write_prob_map"):
+        write_prob_map(two, tmp_path / "two.pgm")
+    with pytest.raises(ShapeError, match="write_mask"):
+        write_mask(two, 0.5, tmp_path / "two.pgm")
+    assert not (tmp_path / "two.pgm").exists()
 
 
 def test_read_prob_map_matches_plain_division_on_every_code(tmp_path):

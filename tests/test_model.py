@@ -521,6 +521,17 @@ def test_load_rejects_contradictory_trainable_flag(small_model, tmp_path):
     save_weights(twisted, p)
     with pytest.raises(ValueError, match="contradicts"):
         load_weights(p)
+    # an encoder container meets the same table: block 4 trains
+    enc = ModelParams({n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+                       for n, p in small_model.layers.items() if n.startswith("enc.")},
+                      small_model.dtype)
+    enc.layers["enc.b4.c1"].trainable = False
+    p = tmp_path / "enc.fgsn"
+    save_weights(enc, p)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{p}: 'enc.b4.c1.weight' has trainable=False")) as info:
+        build_model(encoder_weights=p)
+    assert "\n" not in str(info.value)
 
 
 def _container_off_the_table(model, path, key):

@@ -62,6 +62,12 @@ def test_manifest_parsing(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no frames"):
         read_manifest(empty)
+    for line in ("abc", "-1", "2.0"):
+        bad = tmp_path / "m.txt"
+        bad.write_text(f"3\n# a comment\n{line}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{bad}:3: expected a 0-based frame index, got {line!r}") + "$"):
+            read_manifest(bad)
 
 
 # ------------------------------------------------------------ class weights
@@ -184,6 +190,8 @@ def test_loss_shape_mismatch_is_rejected():
     labels = mixed_labels(6, 6)
     with pytest.raises(ShapeError):
         weighted_bce(np.full((1, 6, 5), 0.5), labels, 1.0, 1.0)
+    with pytest.raises(ShapeError, match="weighted_bce"):  # one map, not two
+        weighted_bce(np.full((2, 6, 6), 0.5), labels, 1.0, 1.0)
 
 
 # -------------------------------------------------------------- optimizer
