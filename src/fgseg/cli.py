@@ -166,7 +166,7 @@ def validate(cfg):
     scene's SynthConfig is built here from the flags given, as cfg.scene for
     the command to use; a flag left unset takes the SynthConfig default."""
     # main() has pinned the threads by now, so numpy may load
-    from .data import SynthConfig
+    from .data import SynthConfig, check_threshold
     from .training import TrainConfig
     if cfg.command in ("train", "segment"):
         if cfg.synthetic and cfg.data:
@@ -178,8 +178,7 @@ def validate(cfg):
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
-        if not 0.0 < cfg.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {cfg.threshold}")
+        check_threshold(cfg.threshold)
     elif cfg.command == "evaluate":
         _require(cfg, "data", "masks")
     elif cfg.command == "sweep":

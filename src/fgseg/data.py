@@ -366,10 +366,14 @@ def as_map(values, caller, shape=None):
     return values
 
 
-def write_mask(probs, threshold, path):
-    """Binarize strictly above threshold and write an 8-bit PGM."""
+def check_threshold(threshold):
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def write_mask(probs, threshold, path):
+    """Binarize strictly above threshold and write an 8-bit PGM."""
+    check_threshold(threshold)
     probs = as_map(probs, "write_mask")
     mask = np.where(probs > threshold, 255, 0).astype(np.uint8)
     write_pgm(path, mask)

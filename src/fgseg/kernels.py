@@ -248,6 +248,15 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
         raise ShapeError(f"tconv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
     h, wd = x.shape[1:]
     ho, wo = spec.tconv_out_hw(h, wd)
+    y = np.empty((spec.out_channels, ho, wo), dtype=np.result_type(x, w))
+    ctx = (x, w, spec)
+    if (spec.kernel, spec.stride, spec.pad) == (1, 1, 0):
+        # one unshifted tap: its GEMM writes y itself
+        np.matmul(w.reshape(spec.in_channels, -1).T, x.reshape(spec.in_channels, -1),
+                  out=y.reshape(spec.out_channels, -1))
+        y += b[:, None, None]
+        ensure_finite(y, "tconv2d")
+        return y, ctx
     s = spec.stride
     # Output pixel i takes tap a from input row m = (i + pad - a) / s where
     # that divides, so output phase p = i mod s sums, over its taps, one
@@ -262,7 +271,6 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     wp = wd + 2 * q
     flat = xp.reshape(spec.in_channels, -1)
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    y = np.empty((spec.out_channels, ho, wo), dtype=np.result_type(x, w))
     # phase 0 has the most rows; later phases use the front of the buffers
     acc = np.empty((spec.out_channels, phases_h[0][0] * wp), y.dtype)
     tap = np.empty_like(acc)
@@ -278,7 +286,6 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
             phase = acc[:, :n].reshape(spec.out_channels, nh, wp)[:, :, :nw] if taps else 0
             np.add(phase, b[:, None, None], out=y[:, py::s, px::s])
     ensure_finite(y, "tconv2d")
-    ctx = (x, w, spec)
     return y, ctx
 
 

@@ -205,6 +205,7 @@ def _run_layer(model, d: LayerDef, x, training, rng, tape):
         shape = "x".join(map(str, x.shape))
         raise NonFiniteError(f"{d.name} on a {shape} input: {e}") from e
     record((d.kind, d.name, ctx))
+    del ctx  # unrecorded, a conv's padded input would outlive its use
     act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
     out, actx = pointwise_activation(out, act)
     record((act, None, actx))
@@ -256,18 +257,25 @@ def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
     """Full network: pyramid triple of a frame of any size -> probability
     map (1, H, W).  pyr may instead be frozen_trunk(model, pyr), for the
     same result from less work."""
+    h, w = pyr.i0.shape[-2:] if isinstance(pyr, PyramidTriple) else pyr.extents
+    # only _run_layers holds the decoder input, so that, unless the tape
+    # records it, it and the features are freed after the first layer
+    return _run_layers(model, DECODER_DEFS, _decoder_input(model, pyr, training, rng, tape),
+                       training, rng, tape)[:, :h, :w]
+
+
+def _decoder_input(model, pyr, training, rng, tape):
+    """The three scales' encoder features on the finest feature grid,
+    depth-concatenated."""
     if isinstance(pyr, PyramidTriple):
         feats = [encode_scale(model, image, training, rng, tape)
                  for image in _scale_images(pyr)]
-        h, w = pyr.i0.shape[-2:]
     else:
         feats = [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
                  for x in pyr.scales]
-        h, w = pyr.extents
     th, tw = feats[0].shape[1:]
-    x = concat_depth([upsample_nearest(f, 2 ** s)[:, :th, :tw]
-                      for s, f in enumerate(feats)])
-    return _run_layers(model, DECODER_DEFS, x, training, rng, tape)[:, :h, :w]
+    return concat_depth([upsample_nearest(f, 2 ** s)[:, :th, :tw]
+                         for s, f in enumerate(feats)])
 
 
 # ----------------------------------------------------------------- backward

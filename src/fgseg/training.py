@@ -21,6 +21,7 @@ PROB_CLIP = 1e-7
 RHO = 0.9          # RMSProp decay of the squared-gradient average
 EPSILON = 1e-8     # RMSProp denominator guard
 VAL_SPLIT = 0.20   # share of the examples held out for validation
+CHUNK = 1 << 15    # elements per RMSProp chunk: its six arrays stay in cache
 
 
 def _check_frame_count(n):
@@ -160,6 +161,9 @@ def rmsprop_step(model: ModelParams, grads, state: OptimizerState):
 
     L2 layers add l2*w to the weight gradient first; biases carry no penalty.
     Frozen layers never appear in grads.  A step that raises changes nothing.
+    Each tensor is updated through 1-D views of its C-contiguous weights and
+    accumulator (as build_model, load_weights, set_state and init_optimizer
+    make them), CHUNK elements at a time, so the temporaries stay in cache.
     """
     for name, (gw, gb) in grads.items():
         if not model[name].trainable:
@@ -168,15 +172,26 @@ def rmsprop_step(model: ModelParams, grads, state: OptimizerState):
             raise NonFiniteError(f"rmsprop_step: non-finite gradient for {name}")
     for name, (gw, gb) in grads.items():
         p = model[name]
-        if p.l2 > 0.0:
-            gw = gw + p.l2 * p.weights
         acc_w, acc_b = state.acc[name]
-        acc_w *= RHO
-        acc_w += (1.0 - RHO) * gw * gw
-        acc_b *= RHO
-        acc_b += (1.0 - RHO) * gb * gb
-        p.weights -= state.lr * gw / (np.sqrt(acc_w) + EPSILON)
-        p.bias -= state.lr * gb / (np.sqrt(acc_b) + EPSILON)
+        _rmsprop_chunks(p.weights, gw, acc_w, p.l2, state.lr)
+        _rmsprop_chunks(p.bias, gb, acc_b, 0.0, state.lr)
+
+
+def _rmsprop_chunks(w, g, a, l2, lr):
+    """rmsprop_step's update of one tensor, in the whole-array formula's
+    order of operations, so where w, g and a share a dtype every element
+    rounds as it would there; the temporaries live in one scratch."""
+    w, g, a = w.reshape(-1), g.reshape(-1), a.reshape(-1)
+    scratch = np.empty((3, min(CHUNK, w.size)), np.result_type(w, g))
+    for i in range(0, w.size, CHUNK):
+        wc, gc, ac = w[i:i + CHUNK], g[i:i + CHUNK], a[i:i + CHUNK]
+        t, u, v = scratch[:, :wc.size]
+        if l2 > 0.0:
+            gc = np.add(gc, np.multiply(l2, wc, out=t), out=t)
+        ac *= RHO
+        ac += np.multiply(np.multiply(1.0 - RHO, gc, out=u), gc, out=u)
+        np.add(np.sqrt(ac, out=v), EPSILON, out=v)
+        wc -= np.divide(np.multiply(lr, gc, out=u), v, out=u)
 
 
 @dataclass
@@ -215,6 +230,18 @@ def _prepare(model: ModelParams, example: TrainingExample):
         raise NonFiniteError(f"frame {example.frame_index}: {e}") from e
     w_fg, w_bg = class_weights(labels)
     return trunk, labels, w_fg, w_bg
+
+
+def _train_step(model, prepared, rng, state):
+    """Forward, loss, backward and update on one prepared example; returns
+    the loss.  Its tape and gradients die with the call, before the next
+    step builds its own."""
+    trunk, labels, w_fg, w_bg = prepared
+    tape = []
+    probs = forward(model, trunk, training=True, rng=rng, tape=tape)
+    loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
+    rmsprop_step(model, backward(model, tape, grad), state)
+    return loss
 
 
 def _epoch_val_loss(model, prepared, val_ids):
@@ -260,13 +287,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
             for step, k in enumerate(epoch_order):
                 i = train_ids[int(k)]
                 where = f"step {step + 1} (frame {examples[i].frame_index})"
-                trunk, labels, w_fg, w_bg = prepared[i]
-                tape = []
-                probs = forward(model, trunk, training=True, rng=rng, tape=tape)
-                loss, grad = weighted_bce(probs, labels, w_fg, w_bg)
-                grads = backward(model, tape, grad)
-                rmsprop_step(model, grads, state)
-                epoch_loss += loss
+                epoch_loss += _train_step(model, prepared[i], rng, state)
             where = "validation"
             val_loss = _epoch_val_loss(model, prepared, val_ids)
         except NonFiniteError as e:

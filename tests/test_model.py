@@ -34,6 +34,7 @@ from fgseg.model import (
     set_state,
 )
 from fgseg.pyramid import build_pyramid
+from memory import numpy_peak
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,18 @@ def test_encoder_weights_shared_across_scales(small_model):
     assert len(entries) == 3
     for e in entries:
         assert e[2][1] is small_model["enc.b4.c3"].weights
+
+
+def test_forward_peak_memory_at_320x240():
+    # inference keeps no layer context and frees the three scales' features
+    # and their 1536-channel concatenation after the first decoder layer.
+    # Measured 78.6 MB (numpy 2.4, f32); the bound adds a 4 MB margin.
+    # Holding them to the end would take the peak to 111.2 MB.
+    net = build_model(seed=4)
+    frame = np.random.default_rng(4).uniform(0, 255, (3, 240, 320)).astype(np.float32)
+    pyr = build_pyramid(frame)
+    peak = numpy_peak(lambda: forward(net, pyr))
+    assert peak < 78.6e6 + 4e6
 
 
 # backward --------------------------------------------------------------

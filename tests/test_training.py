@@ -13,6 +13,7 @@ from fgseg.training import (OptimizerState, PlateauSchedule, TrainConfig,
                             TrainingExample, class_weights, init_optimizer,
                             read_manifest, rmsprop_step, select_frames, train,
                             weighted_bce)
+from memory import numpy_peak
 
 
 def labels_of(raw):
@@ -293,6 +294,58 @@ def test_accumulators_stay_non_negative():
         assert state.acc["only"][1][0] >= 0.0
 
 
+def whole_array_rmsprop(w, g, a, l2, lr):
+    """The update over whole arrays, one operation at a time in the order
+    rmsprop_step keeps."""
+    if l2 > 0.0:
+        g = g + l2 * w
+    a *= training.RHO
+    a += (1.0 - training.RHO) * g * g
+    w -= lr * g / (np.sqrt(a) + training.EPSILON)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("l2", [0.0, model.DECODER_L2])
+def test_chunked_rmsprop_matches_whole_array_update_bit_for_bit(dtype, l2):
+    rng = np.random.default_rng(12)
+    shape = (3, training.CHUNK // 2 + 5)   # 1.5 chunks, 15 elements over
+    layer = LayerParams("big", rng.standard_normal(shape).astype(dtype),
+                        rng.standard_normal(7).astype(dtype), trainable=True, l2=l2)
+    m = ModelParams({"big": layer}, np.dtype(dtype))
+    state = init_optimizer(m, lr=1e-3)
+    w, b = layer.weights.copy(), layer.bias.copy()
+    acc_w, acc_b = np.zeros_like(w), np.zeros_like(b)
+    arrays = (layer.weights, layer.bias, *state.acc["big"])
+    for _ in range(3):
+        gw = rng.standard_normal(shape).astype(dtype)
+        gb = rng.standard_normal(7).astype(dtype)
+        rmsprop_step(m, {"big": (gw, gb)}, state)
+        whole_array_rmsprop(w, gw, acc_w, l2, 1e-3)
+        whole_array_rmsprop(b, gb, acc_b, 0.0, 1e-3)
+        # the update lands in the model's and the state's own arrays
+        assert all(x is y for x, y in zip((layer.weights, layer.bias, *state.acc["big"]),
+                                          arrays))
+        for x, y in zip(arrays, (w, b, acc_w, acc_b)):
+            assert x.dtype == dtype and np.array_equal(x, y)
+
+
+def test_nan_in_a_later_layers_last_chunk_changes_nothing():
+    rng = np.random.default_rng(13)
+    size = 2 * training.CHUNK + 9
+    m = ModelParams({name: LayerParams(name, rng.standard_normal(size),
+                                       rng.standard_normal(3), trainable=True)
+                     for name in ("first", "second")}, np.dtype(np.float64))
+    before = {name: (p.weights.copy(), p.bias.copy()) for name, p in m.layers.items()}
+    state = init_optimizer(m, lr=0.1)
+    grads = {name: (rng.standard_normal(size), rng.standard_normal(3)) for name in m.layers}
+    grads["second"][0][-1] = np.nan
+    with pytest.raises(NonFiniteError, match="second"):
+        rmsprop_step(m, grads, state)
+    for name, (w, b) in before.items():
+        assert np.array_equal(m[name].weights, w) and np.array_equal(m[name].bias, b)
+        assert not any(a.any() for a in state.acc[name])
+
+
 # -------------------------------------------------------- plateau schedule
 
 def test_plateau_fires_after_exactly_patience_stale_epochs():
@@ -428,6 +481,19 @@ def test_frozen_encoder_blocks_never_move():
     for name, (w, b) in before.items():
         assert np.array_equal(m[name].weights, w)
         assert np.array_equal(m[name].bias, b)
+
+
+def test_training_peak_memory():
+    # at 64x64 the f32 parameter-sized buffers dominate: the accumulators,
+    # the best snapshot and one step's gradients, 26 MB each.  Measured
+    # 104.5 MB (numpy 2.4); the bound adds a 5 MB margin.  Keeping the last
+    # step's gradients through the next step, and whole-array RMSProp
+    # temporaries, would take the peak to 130.4 MB.
+    pairs = data.synth_sequence(SynthConfig(n_frames=10, seed=4))
+    examples = training.examples_from_pairs(pairs)
+    m = model.build_model(seed=4)
+    peak = numpy_peak(lambda: train(TrainConfig(n_frames=10, epochs=3, seed=4), examples, m))
+    assert peak < 104.5e6 + 5e6
 
 
 def test_model_ends_at_the_checkpoint_not_the_last_epoch():
