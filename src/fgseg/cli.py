@@ -437,6 +437,9 @@ def main(argv=None):
         message = str(e).splitlines()[0] if str(e) else type(e).__name__
         print(f"fgseg {cfg.command}: {message}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
+        print(f"fgseg {cfg.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

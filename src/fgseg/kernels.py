@@ -1,12 +1,15 @@
 """Dense layer primitives: forward and backward passes on (C, H, W) arrays.
 
-All functions are pure: a forward pass returns ``(output, ctx)`` where ``ctx``
-carries whatever the matching backward pass needs, and no more:
+No function writes its inputs, except into an ``out=`` array the caller
+passes.  A forward pass returns ``(output, ctx)`` where ``ctx`` carries
+whatever the matching backward pass needs, and no more:
 
-- conv2d: ``(padded input, weights, (H, W), spec)``; backward rebuilds the
-  patch columns from the padded input;
+- conv2d: ``(input, weights, (H, W), spec)``; backward zero-pads the input
+  one band of rows at a time and rebuilds that band's patch columns;
 - tconv2d: ``(input, weights, spec)``;
 - maxpool2x2: the input; backward finds each window's argmax;
+- conv2d_relu_pool, conv2d then ReLU then maxpool2x2 for layers that never
+  train: no ctx, only the pooled output;
 - ReLU: ``("relu", output)``, since the output is > 0 exactly where the input
   is; sigmoid: ``("sigmoid", output)``;
 - dropout: ``(keep mask, scale)``, or None at inference.
@@ -15,10 +18,11 @@ Arrays are numpy ndarrays in channel-major layout; float32 by default,
 float64 for gradient checking.
 
 Only the GEMM ops, where an overflow first shows, raise ``NonFiniteError``:
-``conv2d_forward`` per band and ``tconv2d_forward``.  ReLU, sigmoid and
-max-pool keep a finite array finite.  An overflow in dropout's scale or in a
-backward sum reaches the next GEMM's check or the next layer's weight
-gradient; backward returns gradients unchecked, and the optimizer checks them.
+``conv2d_forward`` and ``conv2d_relu_pool`` per band, and ``tconv2d_forward``.
+ReLU, sigmoid and max-pool keep a finite array finite.  An overflow in
+dropout's scale or in a backward sum reaches the next GEMM's check or the
+next layer's weight gradient; backward returns gradients unchecked, and the
+optimizer checks them.
 """
 
 from __future__ import annotations
@@ -101,10 +105,22 @@ def _check_chw(x, op):
 
 
 def _pad_hw(x, top, bottom, left, right):
-    """Zero-pad the last two axes of x; x itself when every width is 0."""
-    if not (top or bottom or left or right):
-        return x
-    return np.pad(x, ((0, 0), (top, bottom), (left, right)))
+    """x with top, bottom, left and right rows and columns of zeros added on
+    its last two axes; a negative width crops instead.  A view of x when no
+    width is positive, else a new array."""
+    c, h, w = x.shape
+    if max(top, bottom, left, right) <= 0:
+        return x[:, -top:h + bottom, -left:w + right]
+    out = np.empty((c, h + top + bottom, w + left + right), dtype=x.dtype)
+    # the rows and columns of x that stay, and where they land in out
+    r0, c0 = max(-top, 0), max(-left, 0)
+    r1, c1 = max(r0, h + min(bottom, 0)), max(c0, w + min(right, 0))
+    out[:, :r0 + top] = 0
+    out[:, r1 + top:] = 0
+    out[:, r0 + top:r1 + top, :c0 + left] = 0
+    out[:, r0 + top:r1 + top, c1 + left:] = 0
+    out[:, r0 + top:r1 + top, c0 + left:c1 + left] = x[:, r0:r1, c0:c1]
+    return out
 
 
 def _im2col(x, kh, kw, stride, ho, wo, out):
@@ -122,36 +138,43 @@ def _im2col(x, kh, kw, stride, ho, wo, out):
     return out
 
 
-def _col2im(cols, c, h, w, kh, kw, stride, ho, wo):
-    """Adjoint of _im2col: scatter-add patch columns back into (C, H, W)."""
-    out = np.zeros((c, h, w), dtype=cols.dtype)
-    cols = cols.reshape(c, kh, kw, ho, wo)
+def _im2col_rows(x, spec, r0, nr, wo, out):
+    """_im2col of output rows r0 .. r0+nr of a convolution with spec's
+    kernel, stride and pad over x, read from a zero-padded copy of only the
+    rows of x that they reach; returns out."""
+    h = x.shape[1]
+    n = (nr - 1) * spec.stride + spec.kernel
+    top = r0 * spec.stride - spec.pad  # the first row they reach
+    slab = _pad_hw(x, -top, top + n - h, spec.pad, spec.pad)
+    return _im2col(slab, spec.kernel, spec.kernel, spec.stride, nr, wo, out)
+
+
+def _col2im(cols, out, kh, kw, stride, ho, wo):
+    """Adjoint of _im2col: scatter-add patch columns into out (C, H, W)."""
+    cols = cols.reshape(out.shape[0], kh, kw, ho, wo)
     for a in range(kh):
         for b in range(kw):
             out[:, a:a + ho * stride:stride, b:b + wo * stride:stride] += cols[:, a, b]
-    return out
 
 
 # ---------------------------------------------------------------- convolution
 
 _BAND_BYTES = 8 << 20
-_BAND_MIN_COLS = 4  # per output channel, as each band's GEMM reads all weights
-_BAND_ALIGN = 64    # columns; BLAS sums a GEMM's ragged last columns apart
+_BAND_ALIGN = 64  # columns; BLAS sums a GEMM's ragged last columns apart
 
 
-def _band_rows(ho, wo, row_bytes, c_out):
-    """Output rows per im2col band, for row_bytes of columns per row.  The
-    bands are even, at least _BAND_BYTES and _BAND_MIN_COLS * c_out columns
-    each, so one band's columns stay under 2 * _BAND_BYTES where they can.
-    Every band but the last spans a multiple of _BAND_ALIGN columns, which
-    keeps the output bit-identical to one GEMM over all columns."""
-    bands = max(1, min(ho * row_bytes // _BAND_BYTES, ho * wo // (_BAND_MIN_COLS * c_out)))
+def _band_rows(ho, wo, row_bytes):
+    """Output rows per band, for row_bytes of buffers per row of wo
+    columns.  The bands are even and at least _BAND_BYTES each, so a band's
+    buffers stay under 2 * _BAND_BYTES where they can.  Every band but the
+    last spans a multiple of _BAND_ALIGN columns, which keeps each GEMM's
+    output bit-identical to one GEMM over all columns."""
+    bands = max(1, ho * row_bytes // _BAND_BYTES)
     step = _BAND_ALIGN // math.gcd(wo, _BAND_ALIGN)
     return min(ho, -(-ho // bands // step) * step)
 
 
-def conv2d_forward(x, w, b, spec: ConvSpec):
-    """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias."""
+def _check_conv(x, w, b, spec):
     _check_chw(x, "conv2d")
     if x.shape[0] != spec.in_channels:
         raise ShapeError(f"conv2d: input has {x.shape[0]} channels, "
@@ -162,26 +185,57 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
                          f"{spec.kernel},{spec.kernel})")
     if b.shape != (spec.out_channels,):
         raise ShapeError(f"conv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
-    h, wd = x.shape[1:]
-    ho, wo = spec.conv_out_hw(h, wd)
-    xp = _pad_hw(x, *[spec.pad] * 4)
+
+
+def conv2d_forward(x, w, b, spec: ConvSpec):
+    """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias."""
+    _check_conv(x, w, b, spec)
+    ho, wo = spec.conv_out_hw(*x.shape[1:])
+    y = _conv_bands(x, w, b, spec, pool=False)
+    return y.reshape(spec.out_channels, ho, wo), (x, w, x.shape[1:], spec)
+
+
+def conv2d_relu_pool(x, w, b, spec: ConvSpec):
+    """conv2d_forward, ReLU and maxpool2x2_forward in one pass: each band
+    of output rows is pooled as soon as its GEMM ends, so only the pooled
+    rows are kept.  There is no ctx, so it serves layers that never train."""
+    _check_conv(x, w, b, spec)
+    ho, wo = spec.conv_out_hw(*x.shape[1:])
+    if ho % 2 or wo % 2:
+        raise ShapeError(f"conv2d_relu_pool: output extents must be even, got {ho}x{wo}")
+    return _conv_bands(x, w, b, spec, pool=True)
+
+
+def _conv_bands(x, w, b, spec, pool):
+    """The convolution's pre-activation (C_out, ho*wo), or with pool its
+    pooled ReLU (C_out, ho/2, wo/2), one band of output rows at a time.
+    Each band's patch columns go into one reused buffer that stays in
+    cache; its GEMM writes straight into its rows of the output, or with
+    pool into one reused band that is pooled into the output's rows."""
+    ho, wo = spec.conv_out_hw(*x.shape[1:])
     w2 = w.reshape(spec.out_channels, -1)
     k = w2.shape[1]
-    y = np.empty((spec.out_channels, ho * wo), dtype=np.result_type(xp, w))
-    # im2col one band of output rows at a time, into one reused buffer that
-    # stays in cache; each band's GEMM writes straight into its rows of y
-    rows = _band_rows(ho, wo, k * wo * xp.itemsize, spec.out_channels)
-    buf = np.empty(k * rows * wo, dtype=xp.dtype)
+    dtype = np.result_type(x, w)
+    pair = 2 if pool else 1  # pooled bands take whole row pairs
+    rows = pair * _band_rows(ho // pair, pair * wo, pair * k * wo * x.itemsize)
+    buf = np.empty(k * rows * wo, dtype=x.dtype)
+    if pool:
+        y = np.empty((spec.out_channels, ho // 2, wo // 2), dtype=dtype)
+        pre = np.empty((spec.out_channels, rows * wo), dtype=dtype)
+    else:
+        y = np.empty((spec.out_channels, ho * wo), dtype=dtype)
     for r0 in range(0, ho, rows):
         nr = min(rows, ho - r0)
-        cols = _im2col(xp[:, r0 * spec.stride:], spec.kernel, spec.kernel,
-                       spec.stride, nr, wo, buf[:k * nr * wo].reshape(k, nr * wo))
-        band = y[:, r0 * wo:(r0 + nr) * wo]
+        cols = _im2col_rows(x, spec, r0, nr, wo, buf[:k * nr * wo].reshape(k, -1))
+        band = pre[:, :nr * wo] if pool else y[:, r0 * wo:(r0 + nr) * wo]
         np.matmul(w2, cols, out=band)
         band += b[:, None]
         ensure_finite(band, "conv2d")
-    ctx = (xp, w, (h, wd), spec)
-    return y.reshape(spec.out_channels, ho, wo), ctx
+        if pool:
+            pointwise_activation(band, "relu", out=band)
+            _pool2x2(band.reshape(spec.out_channels, nr, wo),
+                     out=y[:, r0 // 2:(r0 + nr) // 2])
+    return y
 
 
 def conv2d_backward(grad_out, ctx, need_input_grad=True):
@@ -192,36 +246,69 @@ def conv2d_backward(grad_out, ctx, need_input_grad=True):
 
 def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
     """Gradients of one conv2d_forward layer run on several inputs (the
-    encoder's pyramid scales); returns ([grad_x], grad_w, grad_b).  Both GEMMs
-    span all inputs' columns side by side, summing the weight gradient."""
+    encoder's pyramid scales); returns ([grad_x], grad_w, grad_b).
+
+    The inputs' output rows, taken in turn, split into even bands of at
+    least _BAND_BYTES of patch columns.  Each band's GEMMs add its part of
+    the weight gradient and scatter its part of the input gradient; inputs
+    that fit in one band together share its one GEMM."""
     w, spec = ctxs[0][1], ctxs[0][3]
+    grids = []
     for g, (_, _, (h, wd), _) in zip(grads_out, ctxs, strict=True):
-        if g.shape != (spec.out_channels, *spec.conv_out_hw(h, wd)):
+        grids.append(spec.conv_out_hw(h, wd))
+        if g.shape != (spec.out_channels, *grids[-1]):
             raise ShapeError(f"conv2d backward: grad shaped {g.shape}, expected "
-                             f"{(spec.out_channels, *spec.conv_out_hw(h, wd))}")
-    g = _hstack([g.reshape(spec.out_channels, -1) for g in grads_out])
-    # every input's columns, side by side in the one matrix of the GEMM
-    cols = np.empty((w[0].size, g.shape[1]), dtype=ctxs[0][0].dtype)
-    start = 0
-    for xp, _, (h, wd), _ in ctxs:
-        ho, wo = spec.conv_out_hw(h, wd)
-        _im2col(xp, spec.kernel, spec.kernel, spec.stride, ho, wo,
-                cols[:, start:start + ho * wo])
-        start += ho * wo
-    grad_w = (g @ cols.T).reshape(w.shape)
-    grad_b = g.sum(axis=1)
-    grad_xs = None
-    if need_input_grad:
-        dcols = w.reshape(spec.out_channels, -1).T @ g
-        grad_xs, start = [], 0
-        for _, _, (h, wd), _ in ctxs:
-            ho, wo = spec.conv_out_hw(h, wd)
-            dxp = _col2im(dcols[:, start:start + ho * wo], spec.in_channels,
-                          h + 2 * spec.pad, wd + 2 * spec.pad,
-                          spec.kernel, spec.kernel, spec.stride, ho, wo)
-            start += ho * wo
-            grad_xs.append(dxp[:, spec.pad:spec.pad + h, spec.pad:spec.pad + wd])
-    return grad_xs, grad_w, grad_b
+                             f"{(spec.out_channels, *grids[-1])}")
+    gs = [g.reshape(spec.out_channels, -1) for g in grads_out]
+    w2 = w.reshape(spec.out_channels, -1)
+    k, s, p = w2.shape[1], spec.stride, spec.pad
+    dtype = ctxs[0][0].dtype
+    bands = _pack_rows(grids, k * dtype.itemsize)
+    buf = np.empty(k * max(sum(nr * wo for _, _, nr, wo in band) for band in bands), dtype=dtype)
+    dxps = [np.zeros((spec.in_channels, h + 2 * p, wd + 2 * p), dtype=dtype)
+            for _, _, (h, wd), _ in ctxs] if need_input_grad else []
+    grad_w = None
+    for band in bands:
+        # the band's output gradient, its inputs' columns side by side
+        gband = _hstack([gs[i][:, r0 * wo:(r0 + nr) * wo] for i, r0, nr, wo in band])
+        cols, col = buf[:k * gband.shape[1]].reshape(k, -1), 0
+        for i, r0, nr, wo in band:
+            _im2col_rows(ctxs[i][0], spec, r0, nr, wo, cols[:, col:col + nr * wo])
+            col += nr * wo
+        if need_input_grad:
+            dcols, col = w2.T @ gband, 0
+            for i, r0, nr, wo in band:
+                _col2im(dcols[:, col:col + nr * wo], dxps[i][:, r0 * s:],
+                        spec.kernel, spec.kernel, s, nr, wo)
+                col += nr * wo
+            del dcols  # before the weight gradient's GEMM builds its own
+        if grad_w is None:
+            grad_w, grad_b = gband @ cols.T, gband.sum(axis=1)
+        else:
+            grad_w += gband @ cols.T
+            grad_b += gband.sum(axis=1)
+    grad_xs = [dxp[:, p:p + h, p:p + wd] for dxp, (_, _, (h, wd), _) in zip(dxps, ctxs)]
+    return grad_xs if need_input_grad else None, grad_w.reshape(w.shape), grad_b
+
+
+def _pack_rows(grids, col_bytes):
+    """Split the rows of grids [(rows, columns)], taken in turn, into even
+    bands of at least _BAND_BYTES at col_bytes a column, as _band_rows does
+    for one grid, the last band excepted; each band is a list of (grid,
+    first row, rows, columns per row)."""
+    total = sum(ho * wo for ho, wo in grids)
+    cap = -(-total // max(1, total * col_bytes // _BAND_BYTES))
+    bands, band, n = [], [], 0
+    for i, (ho, wo) in enumerate(grids):
+        r0 = 0
+        while r0 < ho:
+            nr = min(ho - r0, -(-(cap - n) // wo))
+            band.append((i, r0, nr, wo))
+            n, r0 = n + nr * wo, r0 + nr
+            if n >= cap:
+                bands.append(band)
+                band, n = [], 0
+    return bands + [band] if band else bands
 
 
 def _hstack(mats):
@@ -264,27 +351,32 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     phases_h, qh = _phase_taps(s, spec.kernel, spec.pad, ho, h)
     phases_w, qw = _phase_taps(s, spec.kernel, spec.pad, wo, wd)
     q = max(qh, qw)
-    # zero-pad by q, plus a row below, so every tap is a flat view over
-    # (rows, wd + 2q) whose last row may run past the right edge
-    shifted = q or any(d for _, taps in phases_h + phases_w for _, d in taps)
-    xp = _pad_hw(x, q, q + 1, q, q) if shifted else x
+    # On the input zero-padded by q, every tap is a flat view over rows of
+    # wd + 2q columns whose last row may run past the right edge: a band of
+    # phase rows m0.. reads padded rows m0.. up to the largest shift and one
+    # row more.
     wp = wd + 2 * q
-    flat = xp.reshape(spec.in_channels, -1)
+    reach = max([0] + [d for _, taps in phases_h for _, d in taps]) + q + 1
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     # phase 0 has the most rows; later phases use the front of the buffers
-    acc = np.empty((spec.out_channels, phases_h[0][0] * wp), y.dtype)
+    rows = _band_rows(phases_h[0][0], wp,
+                      (spec.in_channels + 2 * spec.out_channels) * wp * y.itemsize)
+    acc = np.empty((spec.out_channels, rows * wp), y.dtype)
     tap = np.empty_like(acc)
-    for py, (nh, taps_h) in enumerate(phases_h):
-        for px, (nw, taps_w) in enumerate(phases_w):
-            n = nh * wp
-            # sum taps in _col2im's (a, b) order, so sums match it bit for bit
-            taps = [(i, j, (di + q) * wp + dj + q) for i, di in taps_h for j, dj in taps_w]
-            for t, (i, j, start) in enumerate(taps):
-                np.matmul(wt[i, j].T, flat[:, start:start + n], out=(tap if t else acc)[:, :n])
-                if t:
-                    acc[:, :n] += tap[:, :n]
-            phase = acc[:, :n].reshape(spec.out_channels, nh, wp)[:, :, :nw] if taps else 0
-            np.add(phase, b[:, None, None], out=y[:, py::s, px::s])
+    for m0 in range(0, phases_h[0][0], rows):
+        flat = _pad_hw(x, q - m0, m0 + rows + reach - q - h, q, q).reshape(spec.in_channels, -1)
+        for py, (nh, taps_h) in enumerate(phases_h):
+            nm = min(rows, nh - m0)
+            for px, (nw, taps_w) in enumerate(phases_w):
+                n = nm * wp
+                # sum taps in _col2im's (a, b) order, so sums match it bit for bit
+                taps = [(i, j, (di + q) * wp + dj + q) for i, di in taps_h for j, dj in taps_w]
+                for t, (i, j, start) in enumerate(taps):
+                    np.matmul(wt[i, j].T, flat[:, start:start + n], out=(tap if t else acc)[:, :n])
+                    if t:
+                        acc[:, :n] += tap[:, :n]
+                phase = acc[:, :n].reshape(spec.out_channels, nm, wp)[:, :, :nw] if taps else 0
+                np.add(phase, b[:, None, None], out=y[:, py::s, px::s][:, m0:m0 + nm])
     ensure_finite(y, "tconv2d")
     return y, ctx
 
@@ -308,12 +400,23 @@ def tconv2d_backward(grad_out, ctx):
         raise ShapeError(f"tconv2d backward: grad shaped {grad_out.shape}, "
                          f"expected ({spec.out_channels},{ho},{wo})")
     # padded by pad all round, the gradient spans the full (H-1)*s + k +
-    # output_pad extent the forward's taps reach
-    cols = _im2col(_pad_hw(grad_out, *[spec.pad] * 4), spec.kernel, spec.kernel, spec.stride,
-                   h, wd, np.empty((w[0].size, h * wd), dtype=grad_out.dtype))
-    grad_x = (w.reshape(spec.in_channels, -1) @ cols).reshape(x.shape)
-    grad_w = (x.reshape(spec.in_channels, -1) @ cols.T).reshape(w.shape)
-    return grad_x, grad_w, grad_out.sum(axis=(1, 2))
+    # output_pad extent the forward's taps reach; its patch columns over
+    # the input grid are built one band of input rows at a time
+    x2, w2 = x.reshape(spec.in_channels, -1), w.reshape(spec.in_channels, -1)
+    k = w2.shape[1]
+    grad_x = np.empty(x2.shape, dtype=np.result_type(w, grad_out))
+    rows = _band_rows(h, wd, k * wd * grad_out.itemsize)
+    buf = np.empty(k * rows * wd, dtype=grad_out.dtype)
+    for r0 in range(0, h, rows):
+        nr = min(rows, h - r0)
+        cols = _im2col_rows(grad_out, spec, r0, nr, wd, buf[:k * nr * wd].reshape(k, -1))
+        band = slice(r0 * wd, (r0 + nr) * wd)
+        np.matmul(w2, cols, out=grad_x[:, band])
+        if r0:
+            grad_w += x2[:, band] @ cols.T
+        else:
+            grad_w = x2[:, band] @ cols.T
+    return grad_x.reshape(x.shape), grad_w.reshape(w.shape), grad_out.sum(axis=(1, 2))
 
 
 # -------------------------------------------------------------------- pooling
@@ -325,8 +428,12 @@ def maxpool2x2_forward(x):
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial extents must be even, got {h}x{w}")
-    return (np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
-                       np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2])), x)
+    return _pool2x2(x), x
+
+
+def _pool2x2(x, out=None):
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out)
 
 
 def maxpool2x2_backward(grad_out, ctx):
@@ -344,14 +451,15 @@ def maxpool2x2_backward(grad_out, ctx):
 
 # ---------------------------------------------------------------- activations
 
-def pointwise_activation(x, kind):
-    """Elementwise ReLU or sigmoid; returns (y, ctx) for the backward pass."""
+def pointwise_activation(x, kind, out=None):
+    """Elementwise ReLU or sigmoid, into out when given (x itself may be
+    out); returns (y, ctx) for the backward pass."""
     if kind == "relu":
-        y = np.maximum(x, 0)
+        y = np.maximum(x, 0, out=out)
         return y, ("relu", y)  # y > 0 exactly where x > 0
     if kind == "sigmoid":
-        y = np.empty_like(x)
-        pos = x >= 0
+        y = np.empty_like(x) if out is None else out
+        pos = x >= 0  # each element is read before it is written
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
@@ -390,14 +498,25 @@ def dropout_backward(grad_out, ctx):
 
 # ----------------------------------------------------------------- upsampling
 
-def upsample_nearest(x, factor):
-    """Replicate every pixel into a factor x factor block."""
+def upsample_nearest(x, factor, out=None):
+    """Replicate every pixel into a factor x factor block.  With out, only
+    the top-left part that out's extents cover, written into out."""
     _check_chw(x, "upsample_nearest")
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x
-    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
+    c, h, w = x.shape
+    if out is None:
+        if factor == 1:
+            return x
+        out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
+    elif out.shape[0] != c or out.shape[1] > h * factor or out.shape[2] > w * factor:
+        raise ShapeError(f"upsample_nearest: {out.shape} is not within {factor}x "
+                         f"of {x.shape}")
+    for a in range(factor):
+        for b in range(factor):
+            part = out[:, a::factor, b::factor]
+            part[...] = x[:, :part.shape[1], :part.shape[2]]
+    return out
 
 
 def upsample_nearest_backward(grad_out, factor):

@@ -13,6 +13,8 @@ carries an L2 penalty on its weights.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,14 +27,12 @@ from .kernels import (
     NonFiniteError,
     ShapeError,
     _pad_hw,
-    concat_depth,
     concat_depth_backward,
     conv2d_backward_shared,
     conv2d_forward,
+    conv2d_relu_pool,
     dropout,
     dropout_backward,
-    maxpool2x2_backward,
-    maxpool2x2_forward,
     pointwise_activation,
     pointwise_activation_backward,
     tconv2d_backward,
@@ -59,6 +59,11 @@ class LayerDef:
     dropout_after: bool = False
     frozen: bool = False
     l2: float = 0.0
+
+    def __post_init__(self):
+        if self.pool_after and not self.frozen:
+            raise ValueError(f"{self.name}: a pooled layer must be frozen, since its "
+                             f"fused conv, ReLU and pool keep nothing for backward")
 
     def spec(self) -> ConvSpec:
         if self.upscale:
@@ -182,8 +187,8 @@ def layer_table(model: ModelParams):
 #
 # The tape is a flat list of (kind, name, ctx) entries, one group per
 # trainable layer (frozen ones need no backward): the named conv/tconv, the
-# activation, then dropout and pool when the LayerDef has them; encoder
-# scales 0, 1 and 2, then the decoder.  backward() slices it by the defs.
+# activation, then dropout when the LayerDef has it; encoder scales 0, 1
+# and 2, then the decoder.  backward() slices it by the defs.
 
 _N_SCALES = DECODER_DEFS[0].in_ch // ENCODER_DEFS[-1].out_ch
 _FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
@@ -192,29 +197,27 @@ _TRAINED_ENCODER_DEFS = ENCODER_DEFS[len(_TRUNK_DEFS):]
 
 
 def _entry_count(d: LayerDef):
-    return 2 + d.dropout_after + d.pool_after
+    return 2 + d.dropout_after
 
 
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
     record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
-    op = conv2d_forward if d.kind == "conv" else tconv2d_forward
     try:
+        if d.pool_after:  # frozen (LayerDef's rule), so there is nothing to record
+            return conv2d_relu_pool(x, p.weights, p.bias, d.spec())
+        op = conv2d_forward if d.kind == "conv" else tconv2d_forward
         out, ctx = op(x, p.weights, p.bias, d.spec())
     except NonFiniteError as e:  # the input shape tells the three scales apart
         shape = "x".join(map(str, x.shape))
         raise NonFiniteError(f"{d.name} on a {shape} input: {e}") from e
     record((d.kind, d.name, ctx))
-    del ctx  # unrecorded, a conv's padded input would outlive its use
     act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
-    out, actx = pointwise_activation(out, act)
+    out, actx = pointwise_activation(out, act, out=out)  # the layer's own fresh output
     record((act, None, actx))
     if d.dropout_after:
         out, dctx = dropout(out, DROPOUT_RATE, training, rng)
         record(("dropout", None, dctx))
-    if d.pool_after:
-        out, pctx = maxpool2x2_forward(out)
-        record(("pool", None, pctx))
     return out
 
 
@@ -266,16 +269,19 @@ def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
 
 def _decoder_input(model, pyr, training, rng, tape):
     """The three scales' encoder features on the finest feature grid,
-    depth-concatenated."""
+    depth-concatenated: each scale's are upsampled straight into their
+    channels of the one decoder input."""
     if isinstance(pyr, PyramidTriple):
         feats = [encode_scale(model, image, training, rng, tape)
                  for image in _scale_images(pyr)]
     else:
         feats = [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
                  for x in pyr.scales]
-    th, tw = feats[0].shape[1:]
-    return concat_depth([upsample_nearest(f, 2 ** s)[:, :th, :tw]
-                         for s, f in enumerate(feats)])
+    c, th, tw = feats[0].shape
+    x = np.empty((len(feats) * c, th, tw), dtype=feats[0].dtype)
+    for s, f in enumerate(feats):
+        upsample_nearest(f, 2 ** s, out=x[s * c:(s + 1) * c])
+    return x
 
 
 # ----------------------------------------------------------------- backward
@@ -284,7 +290,6 @@ _BACKWARD = {
     "relu": pointwise_activation_backward,
     "sigmoid": pointwise_activation_backward,
     "dropout": dropout_backward,
-    "pool": maxpool2x2_backward,
 }
 _ENCODER_ENTRIES = sum(_entry_count(d) for d in _TRAINED_ENCODER_DEFS)
 
@@ -353,6 +358,7 @@ def backward(model: ModelParams, tape, grad_out):
         h, w = entries[-last][2][2]
         g = _pad_hw(g, 0, h * factor - g.shape[1], 0, w * factor - g.shape[2])
         gs.append(upsample_nearest_backward(g, factor))
+    del parts, g  # views of the decoder input's gradient, which gs[0] alone keeps
     _backward_layers(_TRAINED_ENCODER_DEFS, paths, gs, grads)
     return grads
 
@@ -388,47 +394,49 @@ def save_weights(model: ModelParams, path):
 
 def read_container(path):
     """Parse a container into {tensor name: (array, trainable, l2)}; a NaN or
-    Inf in any tensor is rejected here, before it can reach a layer."""
+    Inf in any tensor is rejected here, before it can reach a layer.  Each
+    tensor is read straight into its own array, once its byte count is
+    known to fit in what is left of the file."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {buf[:4]!r}, expected {_MAGIC!r}")
-    if len(buf) < 12:
-        raise ValueError(f"{path}: truncated header")
-    version, count = struct.unpack_from("<II", buf, 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    entries = {}
-    pos = 12
-    for _ in range(count):
-        try:
-            (namelen,) = struct.unpack_from("<H", buf, pos)
-            pos += 2
-            name = buf[pos:pos + namelen].decode("utf-8")
-            pos += namelen
-            code, ndim = struct.unpack_from("<BB", buf, pos)
-            pos += 2
-            dims = struct.unpack_from(f"<{ndim}I", buf, pos)
-            pos += 4 * ndim
-            trainable, l2 = struct.unpack_from("<Bf", buf, pos)
-            pos += 5
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated header")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported container version {version}")
+
+        def unpack(fmt):
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        entries = {}
+        for _ in range(count):
+            try:
+                (namelen,) = unpack("<H")
+                name = fh.read(namelen).decode("utf-8")
+                code, ndim = unpack("<BB")
+                dims = unpack(f"<{ndim}I")
+                trainable, l2 = unpack("<Bf")
+            except struct.error:
+                raise ValueError(f"{path}: truncated container") from None
             dtype = _DTYPE_CODES.get(code)
             if dtype is None:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
-            size = int(np.prod(dims, dtype=np.int64))
-            if pos + size * dtype.itemsize > len(buf):
+            nbytes = math.prod(dims) * dtype.itemsize
+            if nbytes > size - fh.tell():
                 raise ValueError(f"{path}: truncated data for {name!r}")
-            arr = np.frombuffer(buf, dtype, size, pos).reshape(dims)
-            pos += size * dtype.itemsize
-        except struct.error:
-            raise ValueError(f"{path}: truncated container") from None
-        if name in entries:
-            raise ValueError(f"{path}: duplicate tensor {name!r}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: non-finite values in tensor {name!r}")
-        entries[name] = (arr.copy(), bool(trainable), float(l2))
-    if pos != len(buf):
-        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes")
+            arr = np.empty(dims, dtype)
+            if fh.readinto(arr) != nbytes:
+                raise ValueError(f"{path}: truncated data for {name!r}")
+            if name in entries:
+                raise ValueError(f"{path}: duplicate tensor {name!r}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{path}: non-finite values in tensor {name!r}")
+            entries[name] = (arr, bool(trainable), float(l2))
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes")
     return entries
 
 
@@ -472,11 +480,17 @@ def load_weights(path) -> ModelParams:
     return ModelParams(layers, np.dtype(dtype))
 
 
-def get_state(model: ModelParams):
+def get_state(model: ModelParams, out=None):
     """Deep copy of the trainable weights, for checkpoint snapshots; the
-    frozen layers never change."""
-    return {p.name: (p.weights.copy(), p.bias.copy())
-            for p in model.trainable_layers()}
+    frozen layers never change.  With out, an earlier snapshot of the same
+    model, the copy overwrites its arrays and out is returned."""
+    if out is None:
+        return {p.name: (p.weights.copy(), p.bias.copy())
+                for p in model.trainable_layers()}
+    for name, (w, b) in out.items():
+        np.copyto(w, model[name].weights)
+        np.copyto(b, model[name].bias)
+    return out
 
 
 def set_state(model: ModelParams, state):

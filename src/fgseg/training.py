@@ -302,7 +302,7 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
         # argmin; the plateau counter uses min_delta separately
         if val_loss < best_val:
             best_val = val_loss
-            best_state = get_state(model)
+            best_state = get_state(model, best_state)  # in place after the first
             history.checkpoint_epoch = epoch
         schedule.observe(state, val_loss)
         if progress is not None:

@@ -98,6 +98,18 @@ def test_synth_requires_out(tmp_path, capsys):
 TINY = ("--synthetic", "--width", "16", "--height", "16", "--frames", "6")
 
 
+def test_interrupt_is_one_line_with_exit_130(tmp_path, monkeypatch, capsys):
+    from fgseg import training
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "train", interrupted)
+    assert run("train", *TINY, "--weights-out", tmp_path / "w.fgsn") == 130
+    assert capsys.readouterr().err == "fgseg train: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_banner_and_outputs(tmp_path, capsys):
     weights = tmp_path / "model.fgsn"
     assert run("train", *TINY, "--epochs", 2, "--weights-out", weights) == 0

@@ -12,6 +12,7 @@ from fgseg.kernels import (
     conv2d_backward,
     conv2d_backward_shared,
     conv2d_forward,
+    conv2d_relu_pool,
     dropout,
     dropout_backward,
     maxpool2x2_backward,
@@ -194,12 +195,15 @@ def test_conv2d_bands_match_one_gemm(monkeypatch, ho, wo, stride, dtype):
     b = rng.standard_normal(6).astype(dtype)
     assert spec.conv_out_hw(*x.shape[1:]) == (ho, wo)
     row_bytes = 5 * 9 * wo * x.itemsize
-    monkeypatch.setattr(kernels, "_BAND_MIN_COLS", 1)
     monkeypatch.setattr(kernels, "_BAND_BYTES", ho * row_bytes)
-    assert kernels._band_rows(ho, wo, row_bytes, 6) == ho
+    assert kernels._band_rows(ho, wo, row_bytes) == ho
     one, _ = conv2d_forward(x, w, b, spec)
+    # the whole input zero-padded up front, against each band's own padded rows
+    whole, _ = conv2d_forward(np.pad(x, ((0, 0), (1, 1), (1, 1))), w, b,
+                              ConvSpec(3, stride, 0, 5, 6))
+    assert np.array_equal(whole, one)
     monkeypatch.setattr(kernels, "_BAND_BYTES", 4 * row_bytes)
-    rows = kernels._band_rows(ho, wo, row_bytes, 6)
+    rows = kernels._band_rows(ho, wo, row_bytes)
     assert rows < ho and 0 < ho % rows  # several bands, a short last one
     banded, _ = conv2d_forward(x, w, b, spec)
     assert np.array_equal(banded, one)
@@ -220,9 +224,119 @@ def test_conv2d_peak_memory_stays_within_two_bands():
     w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32)
     b = np.zeros(64, dtype=np.float32)
     peak = numpy_peak(lambda: conv2d_forward(x, w, b, ConvSpec.same(3, 64, 64)))
-    # the output (x's size) and the padded input (the ctx) live on after
-    # the call; the band buffer may hold up to twice the 8 MiB band budget
-    assert peak < x.nbytes + 64 * 242 * 322 * 4 + 2 * 8 * 2**20
+    # the output (x's size) lives on after the call, and the ctx holds x
+    # itself; one band's columns and its zero-padded input rows stay under
+    # twice the 8 MiB band budget.  A whole-array padded copy of x (20 MB)
+    # would take the peak over this bound.
+    assert peak < x.nbytes + 2 * 8 * 2**20
+
+
+def record_bands(monkeypatch, name):
+    """Wrap the kernels' band planner `name`; returns the list of
+    (arguments, result) it is called with."""
+    calls, plan = [], getattr(kernels, name)
+
+    def recorded(*args):
+        calls.append((args, plan(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(kernels, name, recorded)
+    return calls
+
+
+def several_bands_short_last(calls):
+    # _band_rows(rows, columns, row_bytes) -> rows per band
+    return any(rows < n and n % rows for (n, *_), rows in calls)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ho,wo", [(70, 18), (22, 16)])
+def test_fused_conv_relu_pool_matches_the_three_plain_kernels(monkeypatch, ho, wo, dtype):
+    rng = np.random.default_rng(30)
+    spec = ConvSpec.same(3, 5, 6)
+    x = rng.standard_normal((5, ho, wo)).astype(dtype)
+    w = rng.standard_normal((6, 5, 3, 3)).astype(dtype)
+    b = rng.standard_normal(6).astype(dtype)
+    y, _ = conv2d_forward(x, w, b, spec)
+    want, _ = maxpool2x2_forward(pointwise_activation(y, "relu")[0])
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
+    calls = record_bands(monkeypatch, "_band_rows")
+    got = conv2d_relu_pool(x, w, b, spec)
+    assert several_bands_short_last(calls)  # in row pairs
+    assert got.dtype == dtype and np.array_equal(got, want)
+    x[:, -1, -1] = np.nan  # the short last band is checked too
+    with pytest.raises(NonFiniteError, match="conv2d"):
+        conv2d_relu_pool(x, w, b, spec)
+    with pytest.raises(ShapeError, match="even"):
+        conv2d_relu_pool(x[:, 1:], w, b, spec)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,pad,opad,h,w", [
+    (5, 2, 2, 1, 9, 14),   # dec.b6/b8's upscale, 16 padded columns a row
+    (3, 1, 1, 0, 9, 14),   # dec.b5/b7's 3x3
+    (3, 2, 1, 1, 70, 9),   # odd rows of 11 columns: 64-row bands
+    (2, 2, 0, 0, 66, 8),   # no tap shifts at all
+])
+def test_tconv2d_bands_match_one_band(monkeypatch, kernel, stride, pad, opad, h, w, dtype):
+    rng = np.random.default_rng(31)
+    spec = ConvSpec(kernel, stride, pad, 4, 3, output_pad=opad)
+    x = rng.standard_normal((4, h, w)).astype(dtype)
+    k = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
+    b = rng.standard_normal(3).astype(dtype)
+    one, _ = tconv2d_forward(x, k, b, spec)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
+    calls = record_bands(monkeypatch, "_band_rows")
+    banded, _ = tconv2d_forward(x, k, b, spec)
+    assert several_bands_short_last(calls)
+    assert np.array_equal(banded, one)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_backward_bands_match_one_band(monkeypatch, dtype, tol, stride):
+    # three inputs, as the encoder's scales; small bands span two of them
+    rng = np.random.default_rng(32)
+    spec = ConvSpec(3, stride, 1, 4, 6)
+    w = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
+    b = rng.standard_normal(6).astype(dtype)
+    ctxs, probes = [], []
+    for h, wd in ((26, 18), (13, 9), (7, 5)):
+        y, ctx = conv2d_forward(rng.standard_normal((4, h, wd)).astype(dtype), w, b, spec)
+        ctxs.append(ctx)
+        probes.append(rng.standard_normal(y.shape).astype(dtype))
+    one = conv2d_backward_shared(probes, ctxs)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 4 * 36 * 18 * np.dtype(dtype).itemsize)
+    calls = record_bands(monkeypatch, "_pack_rows")
+    banded = conv2d_backward_shared(probes, ctxs)
+    (_, bands), = calls
+    assert len(bands) > 1 and any(len({i for i, *_ in band}) > 1 for band in bands)
+    for got, want in zip((*banded[0], banded[1], banded[2]), (*one[0], one[1], one[2])):
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    _, gw, gb = conv2d_backward_shared(probes, ctxs, need_input_grad=False)
+    assert np.array_equal(gw, banded[1]) and np.array_equal(gb, banded[2])
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("kernel,stride,pad,opad", [(5, 2, 2, 1), (3, 1, 1, 0), (1, 1, 0, 0)])
+def test_tconv2d_backward_bands_match_one_band(monkeypatch, dtype, tol, kernel, stride, pad,
+                                               opad):
+    rng = np.random.default_rng(33)
+    spec = ConvSpec(kernel, stride, pad, 4, 3, output_pad=opad)
+    x = rng.standard_normal((4, 19, 16)).astype(dtype)
+    k = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
+    y, ctx = tconv2d_forward(x, k, np.zeros(3, dtype), spec)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    one = tconv2d_backward(g, ctx)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
+    calls = record_bands(monkeypatch, "_band_rows")
+    banded = tconv2d_backward(g, ctx)
+    assert several_bands_short_last(calls)
+    assert np.array_equal(banded[0], one[0])  # column bands of one GEMM
+    for got, want in zip(banded, one):
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 # tconv2d ---------------------------------------------------------------
@@ -307,9 +421,8 @@ def test_tconv2d_phases_match_scatter_bit_for_bit(kernel, stride, pad, opad):
     k = rng.standard_normal((16, 8, kernel, kernel)).astype(np.float32)
     b = rng.standard_normal(8).astype(np.float32)
     y, _ = tconv2d_forward(x, k, b, spec)
-    full = kernels._col2im(k.reshape(16, -1).T @ x.reshape(16, -1), 8,
-                           8 * stride + kernel + opad, 10 * stride + kernel + opad,
-                           kernel, kernel, stride, 9, 11)
+    full = np.zeros((8, 8 * stride + kernel + opad, 10 * stride + kernel + opad), np.float32)
+    kernels._col2im(k.reshape(16, -1).T @ x.reshape(16, -1), full, kernel, kernel, stride, 9, 11)
     ho, wo = spec.tconv_out_hw(9, 11)
     assert np.array_equal(y, full[:, pad:pad + ho, pad:pad + wo] + b[:, None, None])
 

@@ -162,6 +162,13 @@ def test_forward_matches_oracle_network_across_band_seams(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_pooled_layers_must_be_frozen():
+    # the fused conv, ReLU and pool records nothing for backward
+    assert all(d.frozen for d in M.ALL_DEFS if d.pool_after)
+    with pytest.raises(ValueError, match="enc.x.*must be frozen"):
+        M.LayerDef("enc.x", "conv", 3, 4, 3, pool_after=True)
+
+
 def test_encode_zero_image_is_bias_propagation():
     m = build_model(seed=2, dtype=np.float64)
     for p in m.layers.values():
@@ -228,14 +235,18 @@ def test_encoder_weights_shared_across_scales(small_model):
 
 def test_forward_peak_memory_at_320x240():
     # inference keeps no layer context and frees the three scales' features
-    # and their 1536-channel concatenation after the first decoder layer.
-    # Measured 78.6 MB (numpy 2.4, f32); the bound adds a 4 MB margin.
-    # Holding them to the end would take the peak to 111.2 MB.
+    # and their 1536-channel concatenation after the first decoder layer;
+    # every convolution pads and builds its patch columns one band of rows
+    # at a time, ReLU acts in place, pooled layers keep only pooled rows,
+    # and each scale is upsampled straight into the decoder input.
+    # Measured 46.7 MB (numpy 2.4, f32); the bound adds a 3 MB margin.
+    # Whole-array padding, a second array per ReLU, per-scale upsampled
+    # copies and block 4's 47 MB bands took it to 78.6 MB.
     net = build_model(seed=4)
     frame = np.random.default_rng(4).uniform(0, 255, (3, 240, 320)).astype(np.float32)
     pyr = build_pyramid(frame)
     peak = numpy_peak(lambda: forward(net, pyr))
-    assert peak < 78.6e6 + 4e6
+    assert peak < 46.7e6 + 3e6
 
 
 # backward --------------------------------------------------------------
@@ -437,6 +448,16 @@ def test_save_failing_midway_keeps_the_old_container(small_model, tmp_path):
         save_weights(ModelParams(layers), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.fgsn"]
+
+
+def test_load_weights_peak_memory_is_the_file_size(tmp_path):
+    # each tensor is read straight into its own array, with no whole-file
+    # buffer to copy from; the rest is the finite check's mask of the
+    # largest tensor.  Reading the file whole and then copying every
+    # tensor out of it took twice the file size.
+    p = tmp_path / "w.fgsn"
+    save_weights(build_model(seed=4), p)
+    assert numpy_peak(lambda: load_weights(p)) < 1.2 * p.stat().st_size
 
 
 def test_container_float64_roundtrip(tmp_path):

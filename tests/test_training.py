@@ -486,14 +486,38 @@ def test_frozen_encoder_blocks_never_move():
 def test_training_peak_memory():
     # at 64x64 the f32 parameter-sized buffers dominate: the accumulators,
     # the best snapshot and one step's gradients, 26 MB each.  Measured
-    # 104.5 MB (numpy 2.4); the bound adds a 5 MB margin.  Keeping the last
-    # step's gradients through the next step, and whole-array RMSProp
-    # temporaries, would take the peak to 130.4 MB.
+    # 96.2 MB (numpy 2.4); the bound adds a 5 MB margin.  A fresh snapshot
+    # at every checkpoint, built while the old one is held, would take the
+    # peak to 104.5 MB; keeping the last step's gradients through the next
+    # step, and whole-array RMSProp temporaries, to 130.4 MB.
     pairs = data.synth_sequence(SynthConfig(n_frames=10, seed=4))
     examples = training.examples_from_pairs(pairs)
     m = model.build_model(seed=4)
     peak = numpy_peak(lambda: train(TrainConfig(n_frames=10, epochs=3, seed=4), examples, m))
-    assert peak < 104.5e6 + 5e6
+    assert peak < 96.2e6 + 5e6
+
+
+def test_training_step_peak_memory_at_320x240():
+    # forward, loss and backward on a frozen trunk, as train() runs a step.
+    # Every convolution pass, backward included, builds its patch columns
+    # one band of about 8 MiB at a time; the tape of the trainable layers
+    # (about 180 MB) is most of the rest.  Measured 263.8 MB (numpy 2.4,
+    # f32); the bound adds a 10 MB margin.  Whole-frame column matrices in
+    # block 4's and dec.b8.t5x5's backward took it to 526.4 MB.
+    m = model.build_model(seed=4)
+    rng = np.random.default_rng(4)
+    frame = rng.uniform(0, 255, (3, 240, 320)).astype(np.float32)
+    labels = labels_of(rng.choice([0, 255], size=(240, 320)))
+    trunk = model.frozen_trunk(m, training.build_pyramid(frame))
+    w_fg, w_bg = training.class_weights(labels)
+
+    def step():
+        tape = []
+        probs = model.forward(m, trunk, training=True, rng=np.random.default_rng(0), tape=tape)
+        _, grad = training.weighted_bce(probs, labels, w_fg, w_bg)
+        return model.backward(m, tape, grad)
+
+    assert numpy_peak(step) < 263.8e6 + 10e6
 
 
 def test_model_ends_at_the_checkpoint_not_the_last_epoch():
