@@ -23,11 +23,13 @@ def pin_threads(environ=os.environ):
     raw = environ.get("FGSEG_THREADS")
     if raw is None or raw == "":
         return None
-    if not raw.isdigit() or int(raw) < 1:
+    # ASCII digits only: str.isdigit also passes '٣' and '²'
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise ValueError(f"FGSEG_THREADS must be a positive integer, got {raw!r}")
+    n = int(raw)
     for var in THREAD_ENV_VARS:
-        environ.setdefault(var, raw)
-    return int(raw)
+        environ.setdefault(var, str(n))
+    return n
 
 
 THRESHOLD = 0.8   # probability above which a pixel is foreground
@@ -173,6 +175,12 @@ def validate(cfg):
             raise ValueError("--data and --synthetic are mutually exclusive")
         if not cfg.synthetic and not cfg.data:
             raise ValueError(f"{cfg.command} requires --data or --synthetic")
+        if cfg.data:  # train --data still draws --frames frames with --seed
+            scene_only = ["width", "height", "objects"]
+            scene_only += ["frames", "seed"] if cfg.command == "segment" else []
+            for name in scene_only:
+                if getattr(cfg, name) is not None:
+                    raise ValueError(f"--{name} applies to a synthetic scene only, not to --data")
     if cfg.command == "train":
         _require(cfg, "weights_out")
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)

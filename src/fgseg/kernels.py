@@ -4,9 +4,9 @@ No function writes its inputs, except into an ``out=`` array the caller
 passes.  A forward pass returns ``(output, ctx)`` where ``ctx`` carries
 whatever the matching backward pass needs, and no more:
 
-- conv2d: ``(input, weights, (H, W), spec)``; backward zero-pads the input
-  one band of rows at a time and rebuilds that band's patch columns;
-- tconv2d: ``(input, weights, spec)``;
+- conv2d and tconv2d: ``(input, weights, spec)``; backward zero-pads the
+  input (conv2d) or the output gradient (tconv2d) one band of rows at a
+  time and rebuilds that band's patch columns;
 - maxpool2x2: the input; backward finds each window's argmax;
 - conv2d_relu_pool, conv2d then ReLU then maxpool2x2 for layers that never
   train: no ctx, only the pooled output;
@@ -138,17 +138,6 @@ def _im2col(x, kh, kw, stride, ho, wo, out):
     return out
 
 
-def _im2col_rows(x, spec, r0, nr, wo, out):
-    """_im2col of output rows r0 .. r0+nr of a convolution with spec's
-    kernel, stride and pad over x, read from a zero-padded copy of only the
-    rows of x that they reach; returns out."""
-    h = x.shape[1]
-    n = (nr - 1) * spec.stride + spec.kernel
-    top = r0 * spec.stride - spec.pad  # the first row they reach
-    slab = _pad_hw(x, -top, top + n - h, spec.pad, spec.pad)
-    return _im2col(slab, spec.kernel, spec.kernel, spec.stride, nr, wo, out)
-
-
 def _col2im(cols, out, kh, kw, stride, ho, wo):
     """Adjoint of _im2col: scatter-add patch columns into out (C, H, W)."""
     cols = cols.reshape(out.shape[0], kh, kw, ho, wo)
@@ -163,78 +152,106 @@ _BAND_BYTES = 8 << 20
 _BAND_ALIGN = 64  # columns; BLAS sums a GEMM's ragged last columns apart
 
 
-def _band_rows(ho, wo, row_bytes):
-    """Output rows per band, for row_bytes of buffers per row of wo
-    columns.  The bands are even and at least _BAND_BYTES each, so a band's
-    buffers stay under 2 * _BAND_BYTES where they can.  Every band but the
-    last spans a multiple of _BAND_ALIGN columns, which keeps each GEMM's
-    output bit-identical to one GEMM over all columns."""
-    bands = max(1, ho * row_bytes // _BAND_BYTES)
-    step = _BAND_ALIGN // math.gcd(wo, _BAND_ALIGN)
-    return min(ho, -(-ho // bands // step) * step)
+def _plan_bands(grids, col_bytes):
+    """Split the output rows of grids [(rows, columns per row)], taken in
+    turn, into even bands of at least _BAND_BYTES at col_bytes a column, the
+    last band excepted, so a band's buffers stay under 2 * _BAND_BYTES where
+    they can.  Each band is a list of (grid, first row, rows, columns per
+    row).  A band that ends inside a grid ends on a multiple of _BAND_ALIGN
+    columns, which keeps each GEMM's output bit-identical to one GEMM over
+    all columns."""
+    total = sum(ho * wo for ho, wo in grids)
+    cap = -(-total // max(1, total * col_bytes // _BAND_BYTES))
+    bands, band, n = [], [], 0
+    for i, (ho, wo) in enumerate(grids):
+        step = _BAND_ALIGN // math.gcd(wo, _BAND_ALIGN)  # rows
+        r0 = 0
+        while r0 < ho:
+            nr = min(ho - r0, -(-(cap - n) // (wo * step)) * step)
+            band.append((i, r0, nr, wo))
+            n, r0 = n + nr * wo, r0 + nr
+            if n >= cap:
+                bands.append(band)
+                band, n = [], 0
+    return bands + [band] if band else bands
 
 
-def _check_conv(x, w, b, spec):
-    _check_chw(x, "conv2d")
+def _band_columns(xs, spec, bands):
+    """Iterate (band, cols) over bands of _plan_bands for the convolution
+    with spec over xs: cols holds the band's patch columns, each part read
+    from a zero-padded copy of only the input rows it reaches, in a buffer
+    this call allocates.  The conv passes make it before their output: the
+    other order left a 320x240 segment's resident peak 3 MB higher (glibc)."""
+    k, s = xs[0].shape[0] * spec.kernel ** 2, spec.stride
+    widths = [sum(nr * wo for *_, nr, wo in band) for band in bands]
+    buf = np.empty(k * max(widths), dtype=xs[0].dtype)
+
+    def columns():
+        for band, width in zip(bands, widths):
+            cols, col = buf[:k * width].reshape(k, -1), 0
+            for i, r0, nr, wo in band:
+                top, n = r0 * s - spec.pad, (nr - 1) * s + spec.kernel  # input rows read
+                # no name holds the padded rows, so they are freed before the yield
+                _im2col(_pad_hw(xs[i], -top, top + n - xs[i].shape[1], spec.pad, spec.pad),
+                        spec.kernel, spec.kernel, s, nr, wo, cols[:, col:col + nr * wo])
+                col += nr * wo
+            yield band, cols
+    return columns()
+
+
+def _check_conv(op, x, w, b, spec, channels):
+    """Raise ShapeError unless x, w and b fit spec; w is (*channels, k, k)."""
+    _check_chw(x, op)
     if x.shape[0] != spec.in_channels:
-        raise ShapeError(f"conv2d: input has {x.shape[0]} channels, "
+        raise ShapeError(f"{op}: input has {x.shape[0]} channels, "
                          f"spec expects {spec.in_channels}")
-    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
-        raise ShapeError(f"conv2d: weights shaped {w.shape}, spec wants "
-                         f"({spec.out_channels},{spec.in_channels},"
-                         f"{spec.kernel},{spec.kernel})")
+    want = (*channels, spec.kernel, spec.kernel)
+    if w.shape != want:
+        raise ShapeError(f"{op}: weights shaped {w.shape}, spec wants "
+                         f"({','.join(map(str, want))})")
     if b.shape != (spec.out_channels,):
-        raise ShapeError(f"conv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
+        raise ShapeError(f"{op}: bias shaped {b.shape}, expected ({spec.out_channels},)")
 
 
 def conv2d_forward(x, w, b, spec: ConvSpec):
-    """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias."""
-    _check_conv(x, w, b, spec)
+    """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias,
+    one band of output rows at a time: each band's GEMM writes straight into
+    its rows of the output."""
+    _check_conv("conv2d", x, w, b, spec, (spec.out_channels, spec.in_channels))
     ho, wo = spec.conv_out_hw(*x.shape[1:])
-    y = _conv_bands(x, w, b, spec, pool=False)
-    return y.reshape(spec.out_channels, ho, wo), (x, w, x.shape[1:], spec)
+    w2 = w.reshape(spec.out_channels, -1)
+    columns = _band_columns([x], spec, _plan_bands([(ho, wo)], w2.shape[1] * x.itemsize))
+    y = np.empty((spec.out_channels, ho * wo), dtype=np.result_type(x, w))
+    for [(_, r0, nr, _)], cols in columns:
+        band = y[:, r0 * wo:(r0 + nr) * wo]
+        np.matmul(w2, cols, out=band)
+        band += b[:, None]
+        ensure_finite(band, "conv2d")
+    return y.reshape(spec.out_channels, ho, wo), (x, w, spec)
 
 
 def conv2d_relu_pool(x, w, b, spec: ConvSpec):
     """conv2d_forward, ReLU and maxpool2x2_forward in one pass: each band
     of output rows is pooled as soon as its GEMM ends, so only the pooled
     rows are kept.  There is no ctx, so it serves layers that never train."""
-    _check_conv(x, w, b, spec)
+    _check_conv("conv2d", x, w, b, spec, (spec.out_channels, spec.in_channels))
     ho, wo = spec.conv_out_hw(*x.shape[1:])
     if ho % 2 or wo % 2:
         raise ShapeError(f"conv2d_relu_pool: output extents must be even, got {ho}x{wo}")
-    return _conv_bands(x, w, b, spec, pool=True)
-
-
-def _conv_bands(x, w, b, spec, pool):
-    """The convolution's pre-activation (C_out, ho*wo), or with pool its
-    pooled ReLU (C_out, ho/2, wo/2), one band of output rows at a time.
-    Each band's patch columns go into one reused buffer that stays in
-    cache; its GEMM writes straight into its rows of the output, or with
-    pool into one reused band that is pooled into the output's rows."""
-    ho, wo = spec.conv_out_hw(*x.shape[1:])
     w2 = w.reshape(spec.out_channels, -1)
-    k = w2.shape[1]
-    dtype = np.result_type(x, w)
-    pair = 2 if pool else 1  # pooled bands take whole row pairs
-    rows = pair * _band_rows(ho // pair, pair * wo, pair * k * wo * x.itemsize)
-    buf = np.empty(k * rows * wo, dtype=x.dtype)
-    if pool:
-        y = np.empty((spec.out_channels, ho // 2, wo // 2), dtype=dtype)
-        pre = np.empty((spec.out_channels, rows * wo), dtype=dtype)
-    else:
-        y = np.empty((spec.out_channels, ho * wo), dtype=dtype)
-    for r0 in range(0, ho, rows):
-        nr = min(rows, ho - r0)
-        cols = _im2col_rows(x, spec, r0, nr, wo, buf[:k * nr * wo].reshape(k, -1))
-        band = pre[:, :nr * wo] if pool else y[:, r0 * wo:(r0 + nr) * wo]
+    # planned in row pairs, so every band pools whole windows
+    bands = [[(0, 2 * r0, 2 * nr, wo)] for [(_, r0, nr, _)]
+             in _plan_bands([(ho // 2, 2 * wo)], w2.shape[1] * x.itemsize)]
+    columns = _band_columns([x], spec, bands)
+    y = np.empty((spec.out_channels, ho // 2, wo // 2), dtype=np.result_type(x, w))
+    pre = np.empty((spec.out_channels, bands[0][0][2] * wo), dtype=y.dtype)
+    for [(_, r0, nr, _)], cols in columns:
+        band = pre[:, :nr * wo]
         np.matmul(w2, cols, out=band)
         band += b[:, None]
         ensure_finite(band, "conv2d")
-        if pool:
-            pointwise_activation(band, "relu", out=band)
-            _pool2x2(band.reshape(spec.out_channels, nr, wo),
-                     out=y[:, r0 // 2:(r0 + nr) // 2])
+        pointwise_activation(band, "relu", out=band)
+        _pool2x2(band.reshape(spec.out_channels, nr, wo), out=y[:, r0 // 2:(r0 + nr) // 2])
     return y
 
 
@@ -248,33 +265,28 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
     """Gradients of one conv2d_forward layer run on several inputs (the
     encoder's pyramid scales); returns ([grad_x], grad_w, grad_b).
 
-    The inputs' output rows, taken in turn, split into even bands of at
-    least _BAND_BYTES of patch columns.  Each band's GEMMs add its part of
-    the weight gradient and scatter its part of the input gradient; inputs
-    that fit in one band together share its one GEMM."""
-    w, spec = ctxs[0][1], ctxs[0][3]
-    grids = []
-    for g, (_, _, (h, wd), _) in zip(grads_out, ctxs, strict=True):
-        grids.append(spec.conv_out_hw(h, wd))
-        if g.shape != (spec.out_channels, *grids[-1]):
+    The inputs' output rows, taken in turn, split into the bands of
+    _plan_bands.  Each band's GEMMs add its part of the weight gradient and
+    scatter its part of the input gradient; inputs that fit in one band
+    together share its one GEMM."""
+    xs = [x for x, _, _ in ctxs]
+    _, w, spec = ctxs[0]
+    grids = [spec.conv_out_hw(*x.shape[1:]) for x in xs]
+    for g, grid in zip(grads_out, grids, strict=True):
+        if g.shape != (spec.out_channels, *grid):
             raise ShapeError(f"conv2d backward: grad shaped {g.shape}, expected "
-                             f"{(spec.out_channels, *grids[-1])}")
-    gs = [g.reshape(spec.out_channels, -1) for g in grads_out]
+                             f"{(spec.out_channels, *grid)}")
     w2 = w.reshape(spec.out_channels, -1)
-    k, s, p = w2.shape[1], spec.stride, spec.pad
-    dtype = ctxs[0][0].dtype
-    bands = _pack_rows(grids, k * dtype.itemsize)
-    buf = np.empty(k * max(sum(nr * wo for _, _, nr, wo in band) for band in bands), dtype=dtype)
-    dxps = [np.zeros((spec.in_channels, h + 2 * p, wd + 2 * p), dtype=dtype)
-            for _, _, (h, wd), _ in ctxs] if need_input_grad else []
+    s, p = spec.stride, spec.pad
+    columns = _band_columns(xs, spec, _plan_bands(grids, w2.shape[1] * xs[0].itemsize))
+    dxps = [np.zeros((spec.in_channels, x.shape[1] + 2 * p, x.shape[2] + 2 * p), dtype=x.dtype)
+            for x in xs] if need_input_grad else []
     grad_w = None
-    for band in bands:
+    for band, cols in columns:
         # the band's output gradient, its inputs' columns side by side
-        gband = _hstack([gs[i][:, r0 * wo:(r0 + nr) * wo] for i, r0, nr, wo in band])
-        cols, col = buf[:k * gband.shape[1]].reshape(k, -1), 0
-        for i, r0, nr, wo in band:
-            _im2col_rows(ctxs[i][0], spec, r0, nr, wo, cols[:, col:col + nr * wo])
-            col += nr * wo
+        parts = [grads_out[i][:, r0:r0 + nr].reshape(spec.out_channels, -1)
+                 for i, r0, nr, _ in band]
+        gband = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         if need_input_grad:
             dcols, col = w2.T @ gband, 0
             for i, r0, nr, wo in band:
@@ -287,32 +299,8 @@ def conv2d_backward_shared(grads_out, ctxs, need_input_grad=True):
         else:
             grad_w += gband @ cols.T
             grad_b += gband.sum(axis=1)
-    grad_xs = [dxp[:, p:p + h, p:p + wd] for dxp, (_, _, (h, wd), _) in zip(dxps, ctxs)]
+    grad_xs = [dxp[:, p:p + x.shape[1], p:p + x.shape[2]] for dxp, x in zip(dxps, xs)]
     return grad_xs if need_input_grad else None, grad_w.reshape(w.shape), grad_b
-
-
-def _pack_rows(grids, col_bytes):
-    """Split the rows of grids [(rows, columns)], taken in turn, into even
-    bands of at least _BAND_BYTES at col_bytes a column, as _band_rows does
-    for one grid, the last band excepted; each band is a list of (grid,
-    first row, rows, columns per row)."""
-    total = sum(ho * wo for ho, wo in grids)
-    cap = -(-total // max(1, total * col_bytes // _BAND_BYTES))
-    bands, band, n = [], [], 0
-    for i, (ho, wo) in enumerate(grids):
-        r0 = 0
-        while r0 < ho:
-            nr = min(ho - r0, -(-(cap - n) // wo))
-            band.append((i, r0, nr, wo))
-            n, r0 = n + nr * wo, r0 + nr
-            if n >= cap:
-                bands.append(band)
-                band, n = [], 0
-    return bands + [band] if band else bands
-
-
-def _hstack(mats):
-    return mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1)
 
 
 # ----------------------------------------------------- transposed convolution
@@ -323,16 +311,7 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     Weights are oriented (C_in, C_out, kh, kw).  Output spatial size is
     (H-1)*stride - 2*pad + kernel + output_pad per axis.
     """
-    _check_chw(x, "tconv2d")
-    if x.shape[0] != spec.in_channels:
-        raise ShapeError(f"tconv2d: input has {x.shape[0]} channels, "
-                         f"spec expects {spec.in_channels}")
-    if w.shape != (spec.in_channels, spec.out_channels, spec.kernel, spec.kernel):
-        raise ShapeError(f"tconv2d: weights shaped {w.shape}, spec wants "
-                         f"({spec.in_channels},{spec.out_channels},"
-                         f"{spec.kernel},{spec.kernel})")
-    if b.shape != (spec.out_channels,):
-        raise ShapeError(f"tconv2d: bias shaped {b.shape}, expected ({spec.out_channels},)")
+    _check_conv("tconv2d", x, w, b, spec, (spec.in_channels, spec.out_channels))
     h, wd = x.shape[1:]
     ho, wo = spec.tconv_out_hw(h, wd)
     y = np.empty((spec.out_channels, ho, wo), dtype=np.result_type(x, w))
@@ -359,11 +338,12 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     reach = max([0] + [d for _, taps in phases_h for _, d in taps]) + q + 1
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     # phase 0 has the most rows; later phases use the front of the buffers
-    rows = _band_rows(phases_h[0][0], wp,
-                      (spec.in_channels + 2 * spec.out_channels) * wp * y.itemsize)
+    bands = _plan_bands([(phases_h[0][0], wp)],
+                        (spec.in_channels + 2 * spec.out_channels) * y.itemsize)
+    rows = bands[0][0][2]
     acc = np.empty((spec.out_channels, rows * wp), y.dtype)
     tap = np.empty_like(acc)
-    for m0 in range(0, phases_h[0][0], rows):
+    for [(_, m0, _, _)] in bands:
         flat = _pad_hw(x, q - m0, m0 + rows + reach - q - h, q, q).reshape(spec.in_channels, -1)
         for py, (nh, taps_h) in enumerate(phases_h):
             nm = min(rows, nh - m0)
@@ -403,13 +383,9 @@ def tconv2d_backward(grad_out, ctx):
     # output_pad extent the forward's taps reach; its patch columns over
     # the input grid are built one band of input rows at a time
     x2, w2 = x.reshape(spec.in_channels, -1), w.reshape(spec.in_channels, -1)
-    k = w2.shape[1]
     grad_x = np.empty(x2.shape, dtype=np.result_type(w, grad_out))
-    rows = _band_rows(h, wd, k * wd * grad_out.itemsize)
-    buf = np.empty(k * rows * wd, dtype=grad_out.dtype)
-    for r0 in range(0, h, rows):
-        nr = min(rows, h - r0)
-        cols = _im2col_rows(grad_out, spec, r0, nr, wd, buf[:k * nr * wd].reshape(k, -1))
+    bands = _plan_bands([(h, wd)], w2.shape[1] * grad_out.itemsize)
+    for [(_, r0, nr, _)], cols in _band_columns([grad_out], spec, bands):
         band = slice(r0 * wd, (r0 + nr) * wd)
         np.matmul(w2, cols, out=grad_x[:, band])
         if r0:

@@ -355,7 +355,7 @@ def backward(model: ModelParams, tape, grad_out):
     for s, (g, entries) in enumerate(zip(parts, paths)):
         # undo the crop, then the upsample, onto this scale's feature grid
         factor = 2 ** s
-        h, w = entries[-last][2][2]
+        h, w = entries[-last][2][0].shape[1:]  # the last conv's input
         g = _pad_hw(g, 0, h * factor - g.shape[1], 0, w * factor - g.shape[2])
         gs.append(upsample_nearest_backward(g, factor))
     del parts, g  # views of the decoder input's gradient, which gs[0] alone keeps

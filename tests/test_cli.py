@@ -42,10 +42,19 @@ def test_thread_cap_absent_is_a_no_op():
     assert env == {}
 
 
-@pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5"])
+@pytest.mark.parametrize("bad", ["abc", "0", "-3", "1.5", "\u0663", "\u00b2"])
 def test_thread_cap_rejects_garbage(bad):
-    with pytest.raises(ValueError, match="FGSEG_THREADS"):
-        pin_threads({"FGSEG_THREADS": bad})
+    # '٣' (Arabic-Indic three) and '²' pass str.isdigit; a BLAS reads neither
+    env = {"FGSEG_THREADS": bad}
+    with pytest.raises(ValueError, match=r"^FGSEG_THREADS must be a positive integer, got "):
+        pin_threads(env)
+    assert env == {"FGSEG_THREADS": bad}
+
+
+def test_thread_cap_writes_the_plain_number():
+    env = {"FGSEG_THREADS": "007"}
+    assert pin_threads(env) == 7
+    assert all(env[var] == "7" for var in THREAD_ENV_VARS)
 
 
 # ----------------------------------------------------------------- info/synth
@@ -228,6 +237,29 @@ def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--width"), ("train", "--height"), ("train", "--objects"),
+    ("segment", "--width"), ("segment", "--height"), ("segment", "--objects"),
+    ("segment", "--frames"), ("segment", "--seed"),
+])
+def test_scene_flags_with_data_fail_before_any_work(tmp_path, capsys, command, flag):
+    # a --data sequence has no synthetic scene for the flag to shape
+    out = tmp_path / "out"
+    flags = ("--weights-out", out / "w.fgsn") if command == "train" else \
+        ("--weights-in", tmp_path / "w.fgsn", "--out", out)
+    assert run(command, "--data", tmp_path / "scene", flag, 7, *flags) == 2
+    assert capsys.readouterr().err == \
+        f"fgseg {command}: {flag} applies to a synthetic scene only, not to --data\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_data_takes_frames_and_seed(tmp_path, capsys):
+    # they pick the training frames, so only reading the missing sequence fails
+    assert run("train", "--data", tmp_path / "scene", "--frames", 5, "--seed", 2,
+               "--weights-out", tmp_path / "w.fgsn") == 1
+    assert "scene" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- segment

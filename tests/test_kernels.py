@@ -196,16 +196,16 @@ def test_conv2d_bands_match_one_gemm(monkeypatch, ho, wo, stride, dtype):
     assert spec.conv_out_hw(*x.shape[1:]) == (ho, wo)
     row_bytes = 5 * 9 * wo * x.itemsize
     monkeypatch.setattr(kernels, "_BAND_BYTES", ho * row_bytes)
-    assert kernels._band_rows(ho, wo, row_bytes) == ho
+    assert kernels._plan_bands([(ho, wo)], 5 * 9 * x.itemsize) == [[(0, 0, ho, wo)]]
     one, _ = conv2d_forward(x, w, b, spec)
     # the whole input zero-padded up front, against each band's own padded rows
     whole, _ = conv2d_forward(np.pad(x, ((0, 0), (1, 1), (1, 1))), w, b,
                               ConvSpec(3, stride, 0, 5, 6))
     assert np.array_equal(whole, one)
     monkeypatch.setattr(kernels, "_BAND_BYTES", 4 * row_bytes)
-    rows = kernels._band_rows(ho, wo, row_bytes)
-    assert rows < ho and 0 < ho % rows  # several bands, a short last one
+    calls = record_bands(monkeypatch)
     banded, _ = conv2d_forward(x, w, b, spec)
+    assert several_bands_short_last(calls)
     assert np.array_equal(banded, one)
     if dtype == np.float64:
         ref = oracles.conv2d_dot(x, w, b, stride=stride, pad=1)
@@ -231,22 +231,50 @@ def test_conv2d_peak_memory_stays_within_two_bands():
     assert peak < x.nbytes + 2 * 8 * 2**20
 
 
-def record_bands(monkeypatch, name):
-    """Wrap the kernels' band planner `name`; returns the list of
-    (arguments, result) it is called with."""
-    calls, plan = [], getattr(kernels, name)
+@pytest.mark.parametrize("grids", [
+    [(70, 17)], [(23, 16)], [(1, 1)], [(5, 64), (3, 128)],
+    [(26, 18), (13, 9), (7, 5)], [(26, 32), (13, 16), (7, 8)],
+    [(240, 320), (120, 160), (60, 80)],
+])
+def test_band_planner_rows_once_in_order_full_bands_aligned_cuts(monkeypatch, grids):
+    for budget in (1, 700, 4 * 36 * 18 * 8, 10**5, 8 << 20):
+        monkeypatch.setattr(kernels, "_BAND_BYTES", budget)
+        for col_bytes in (36 * 4, 36 * 8, 4608 * 4):
+            bands = kernels._plan_bands(grids, col_bytes)
+            parts = [part for band in bands for part in band]
+            assert [(i, r) for i, r0, nr, _ in parts for r in range(r0, r0 + nr)] == \
+                [(i, r) for i, (ho, _) in enumerate(grids) for r in range(ho)]
+            assert all(wo == grids[i][1] for i, *_, wo in parts)
+            for band in bands[:-1]:
+                assert sum(nr * wo for *_, nr, wo in band) * col_bytes >= budget
+            # a part that starts inside its grid starts a band
+            assert all(r0 * wo % kernels._BAND_ALIGN == 0 for _, r0, _, wo in parts)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block4_grids_of_a_64x64_frame_make_one_band(dtype):
+    # block 4's 3x3 convolutions over 512 channels, at the three scales: one
+    # GEMM per layer in 64x64 training
+    bands = kernels._plan_bands([(16, 16), (8, 8), (4, 4)], 4608 * np.dtype(dtype).itemsize)
+    assert bands == [[(0, 0, 16, 16), (1, 0, 8, 8), (2, 0, 4, 4)]]
+
+
+def record_bands(monkeypatch):
+    """Wrap the kernels' band planner; returns the list of (arguments,
+    bands) it is called with."""
+    calls, plan = [], kernels._plan_bands
 
     def recorded(*args):
         calls.append((args, plan(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(kernels, name, recorded)
+    monkeypatch.setattr(kernels, "_plan_bands", recorded)
     return calls
 
 
 def several_bands_short_last(calls):
-    # _band_rows(rows, columns, row_bytes) -> rows per band
-    return any(rows < n and n % rows for (n, *_), rows in calls)
+    # one grid's bands: [[(grid, first row, rows, columns per row)], ...]
+    return any(len(bands) > 1 and bands[-1][0][2] < bands[0][0][2] for _, bands in calls)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -260,7 +288,7 @@ def test_fused_conv_relu_pool_matches_the_three_plain_kernels(monkeypatch, ho, w
     y, _ = conv2d_forward(x, w, b, spec)
     want, _ = maxpool2x2_forward(pointwise_activation(y, "relu")[0])
     monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
-    calls = record_bands(monkeypatch, "_band_rows")
+    calls = record_bands(monkeypatch)
     got = conv2d_relu_pool(x, w, b, spec)
     assert several_bands_short_last(calls)  # in row pairs
     assert got.dtype == dtype and np.array_equal(got, want)
@@ -286,7 +314,7 @@ def test_tconv2d_bands_match_one_band(monkeypatch, kernel, stride, pad, opad, h,
     b = rng.standard_normal(3).astype(dtype)
     one, _ = tconv2d_forward(x, k, b, spec)
     monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
-    calls = record_bands(monkeypatch, "_band_rows")
+    calls = record_bands(monkeypatch)
     banded, _ = tconv2d_forward(x, k, b, spec)
     assert several_bands_short_last(calls)
     assert np.array_equal(banded, one)
@@ -295,19 +323,20 @@ def test_tconv2d_bands_match_one_band(monkeypatch, kernel, stride, pad, opad, h,
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_backward_bands_match_one_band(monkeypatch, dtype, tol, stride):
-    # three inputs, as the encoder's scales; small bands span two of them
+    # three inputs, as the encoder's scales, with widths that divide 64
+    # columns, so that small bands end inside an input and span two of them
     rng = np.random.default_rng(32)
     spec = ConvSpec(3, stride, 1, 4, 6)
     w = rng.standard_normal((6, 4, 3, 3)).astype(dtype)
     b = rng.standard_normal(6).astype(dtype)
     ctxs, probes = [], []
-    for h, wd in ((26, 18), (13, 9), (7, 5)):
+    for h, wd in ((26, 32), (13, 16), (7, 8)):
         y, ctx = conv2d_forward(rng.standard_normal((4, h, wd)).astype(dtype), w, b, spec)
         ctxs.append(ctx)
         probes.append(rng.standard_normal(y.shape).astype(dtype))
     one = conv2d_backward_shared(probes, ctxs)
     monkeypatch.setattr(kernels, "_BAND_BYTES", 4 * 36 * 18 * np.dtype(dtype).itemsize)
-    calls = record_bands(monkeypatch, "_pack_rows")
+    calls = record_bands(monkeypatch)
     banded = conv2d_backward_shared(probes, ctxs)
     (_, bands), = calls
     assert len(bands) > 1 and any(len({i for i, *_ in band}) > 1 for band in bands)
@@ -330,7 +359,7 @@ def test_tconv2d_backward_bands_match_one_band(monkeypatch, dtype, tol, kernel, 
     g = rng.standard_normal(y.shape).astype(dtype)
     one = tconv2d_backward(g, ctx)
     monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
-    calls = record_bands(monkeypatch, "_band_rows")
+    calls = record_bands(monkeypatch)
     banded = tconv2d_backward(g, ctx)
     assert several_bands_short_last(calls)
     assert np.array_equal(banded[0], one[0])  # column bands of one GEMM

@@ -397,7 +397,7 @@ def _plain_backward(tape, grad_out):
     g = walk(tape[3 * per_scale:], grad_out)
     for s in range(3):
         entries = tape[s * per_scale:(s + 1) * per_scale]
-        h, w = entries[-3][2][2]   # input grid of enc.b4.c3 at this scale
+        h, w = entries[-3][2][0].shape[1:]  # input grid of enc.b4.c3 at this scale
         part = g[512 * s:512 * (s + 1)]
         part = np.pad(part, ((0, 0), (0, h * 2 ** s - part.shape[1]),
                              (0, w * 2 ** s - part.shape[2])))

@@ -501,9 +501,11 @@ def test_training_step_peak_memory_at_320x240():
     # forward, loss and backward on a frozen trunk, as train() runs a step.
     # Every convolution pass, backward included, builds its patch columns
     # one band of about 8 MiB at a time; the tape of the trainable layers
-    # (about 180 MB) is most of the rest.  Measured 263.8 MB (numpy 2.4,
-    # f32); the bound adds a 10 MB margin.  Whole-frame column matrices in
-    # block 4's and dec.b8.t5x5's backward took it to 526.4 MB.
+    # (about 180 MB) is most of the rest.  Measured 267.7 MB (numpy 2.4,
+    # f32); the bound adds a 10 MB margin to the 263.8 MB measured before
+    # block 4's backward bands ended on 64-column steps, 640 columns wide
+    # at scale 0 instead of 560.  Whole-frame column matrices in block 4's
+    # and dec.b8.t5x5's backward took it to 526.4 MB.
     m = model.build_model(seed=4)
     rng = np.random.default_rng(4)
     frame = rng.uniform(0, 255, (3, 240, 320)).astype(np.float32)
