@@ -184,6 +184,10 @@ def validate(cfg):
     if cfg.command == "train":
         _require(cfg, "weights_out")
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
+        weights = Path(cfg.weights_out)   # not with_suffix, which raises on "."
+        cfg.out = cfg.out or str(weights.parent / f"{weights.stem}.history.csv")
+        if Path(cfg.out).resolve() == weights.resolve():
+            raise ValueError(f"--out and --weights-out both name {cfg.out}")
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
         check_threshold(cfg.threshold)
@@ -193,6 +197,10 @@ def validate(cfg):
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
+    for name in {"train": ("weights_out", "out"), "evaluate": ("out",),
+                 "sweep": ("out",)}.get(cfg.command, ()):
+        if (path := getattr(cfg, name)) and Path(path).is_dir():
+            raise ValueError(f"--{name.replace('_', '-')} {path} is a directory")
     if cfg.command == "synth" or getattr(cfg, "synthetic", False):
         given = dict(width=cfg.width, height=cfg.height, n_frames=cfg.frames,
                      n_objects=cfg.objects, seed=cfg.seed)
@@ -246,25 +254,25 @@ def cmd_train(cfg, data, model, training):
           f"val-split={_fmt(training.VAL_SPLIT)} precision={cfg.precision} "
           f"seed={cfg.seed}")
 
-    def report(epoch, train_loss, val_loss, lr):
-        print(f"epoch {epoch + 1}/{tc.epochs} train={train_loss:.6f} "
-              f"val={val_loss:.6f} lr={_fmt(lr)}")
+    def report(state):
+        print(f"epoch {len(state.val_loss)}/{tc.epochs} train={state.train_loss[-1]:.6f} "
+              f"val={state.val_loss[-1]:.6f} lr={_fmt(state.lr[-1])}")
 
-    net, history = training.train(tc, examples, net, progress=report)
+    net, state = training.train(tc, examples, net, progress=report)
     weights_path = Path(cfg.weights_out)
     weights_path.parent.mkdir(parents=True, exist_ok=True)
     model.save_weights(net, weights_path)
-    history_path = Path(cfg.out) if cfg.out else weights_path.with_suffix(".history.csv")
+    history_path = Path(cfg.out)
     history_path.parent.mkdir(parents=True, exist_ok=True)
     with data.atomic_write(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "train_loss", "val_loss", "lr", "checkpoint"))
-        for epoch, (tl, vl, lr) in enumerate(zip(history.train_loss,
-                                                 history.val_loss, history.lr)):
+        for epoch, (tl, vl, lr) in enumerate(zip(state.train_loss,
+                                                 state.val_loss, state.lr)):
             writer.writerow((epoch, f"{tl:.8f}", f"{vl:.8f}", f"{lr:.8g}",
-                             int(epoch == history.checkpoint_epoch)))
-    print(f"checkpoint: epoch {history.checkpoint_epoch + 1} "
-          f"(val={history.val_loss[history.checkpoint_epoch]:.6f})")
+                             int(epoch == state.checkpoint_epoch)))
+    print(f"checkpoint: epoch {state.checkpoint_epoch + 1} "
+          f"(val={state.val_loss[state.checkpoint_epoch]:.6f})")
     print(f"wrote {weights_path} and {history_path}")
     return 0
 

@@ -65,15 +65,21 @@ class OptimizerState:
     acc: dict            # layer name -> [acc_weights, acc_bias]
     lr: float
     wait: int = 0        # epochs since the last plateau-relevant improvement
-    best_val: float = math.inf
+    plateau_best: float = math.inf   # best val loss by PlateauSchedule's min_delta
 
 
 @dataclass
-class TrainHistory:
+class TrainState:    # what crosses an epoch boundary
+    rng: np.random.Generator
+    val_ids: list
+    train_ids: list
+    prepared: list       # _prepare's tuple per example
+    optimizer: OptimizerState
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     lr: list = field(default_factory=list)
     checkpoint_epoch: int = -1
+    best_state: dict | None = None   # the weights of checkpoint_epoch
 
 
 # ------------------------------------------------------------ frame selection
@@ -205,8 +211,8 @@ class PlateauSchedule:
 
     def observe(self, state: OptimizerState, val_loss):
         """Call once per epoch; returns True when the lr was reduced."""
-        if val_loss < state.best_val - self.min_delta:
-            state.best_val = val_loss
+        if val_loss < state.plateau_best - self.min_delta:
+            state.plateau_best = val_loss
             state.wait = 0
             return False
         state.wait += 1
@@ -254,63 +260,55 @@ def _epoch_val_loss(model, prepared, val_ids):
     return total / len(val_ids)
 
 
-def train(config: TrainConfig, examples, model: ModelParams, progress=None):
-    """Shuffle/split once, then per epoch: reshuffle, step per frame, validate,
-    checkpoint on improvement, reduce lr on plateau.
+def run_epoch(model: ModelParams, examples, state: TrainState):
+    """One epoch: reshuffle, step per training frame, validate, checkpoint on
+    any strict improvement and let PlateauSchedule observe the val loss."""
+    epoch = len(state.val_loss)
+    epoch_loss = 0.0
+    try:
+        # phase 2 shuffle: visit order within the epoch
+        for step, i in enumerate(state.rng.permutation(state.train_ids)):
+            where = f"step {step + 1} (frame {examples[i].frame_index})"
+            epoch_loss += _train_step(model, state.prepared[i], state.rng, state.optimizer)
+        where = "validation"
+        val_loss = _epoch_val_loss(model, state.prepared, state.val_ids)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"epoch {epoch + 1} {where}: {e}") from e
+    # checkpoint on any strict improvement so the saved epoch is the
+    # argmin; the plateau counter uses min_delta separately
+    if val_loss < min(state.val_loss, default=math.inf):
+        state.best_state = get_state(model, state.best_state)  # in place after the first
+        state.checkpoint_epoch = epoch
+    state.train_loss.append(epoch_loss / max(1, len(state.train_ids)))
+    state.val_loss.append(val_loss)
+    state.lr.append(state.optimizer.lr)
+    PlateauSchedule().observe(state.optimizer, val_loss)
 
-    progress, when given, is called as progress(epoch, train_loss, val_loss, lr)
-    after each epoch.  Returns (model restored to the best checkpoint,
-    TrainHistory).  A NonFiniteError is re-raised naming its epoch, step and
-    frame, or only its frame when the frozen trunk raises it before epoch 1.
+
+def train(config: TrainConfig, examples, model: ModelParams, progress=None):
+    """Shuffle/split once, then run_epoch config.epochs times.
+
+    progress, when given, is called as progress(state) after each epoch with
+    the TrainState that train returns, its lists one entry per epoch so far.
+    Returns (model restored to the best checkpoint, that TrainState).  A
+    NonFiniteError is re-raised naming its epoch, step and frame, or only its
+    frame when the frozen trunk raises it before epoch 1.
     """
     _check_frame_count(len(examples))
     rng = np.random.default_rng(config.seed)
-
     # phase 1 shuffle: who lands in the validation split
-    order = rng.permutation(len(examples))
+    order = [int(i) for i in rng.permutation(len(examples))]
     n_val = max(1, int(len(examples) * VAL_SPLIT))
-    val_ids = [int(i) for i in order[:n_val]]
-    train_ids = [int(i) for i in order[n_val:]]
-
-    prepared = [_prepare(model, ex) for ex in examples]
-    state = init_optimizer(model, config.lr)
-    schedule = PlateauSchedule()
-
-    history = TrainHistory()
-    best_val = math.inf
-    best_state = None
-    for epoch in range(config.epochs):
-        # phase 2 shuffle: visit order within the epoch
-        epoch_order = rng.permutation(len(train_ids))
-        epoch_loss = 0.0
-        try:
-            for step, k in enumerate(epoch_order):
-                i = train_ids[int(k)]
-                where = f"step {step + 1} (frame {examples[i].frame_index})"
-                epoch_loss += _train_step(model, prepared[i], rng, state)
-            where = "validation"
-            val_loss = _epoch_val_loss(model, prepared, val_ids)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"epoch {epoch + 1} {where}: {e}") from e
-        train_loss = epoch_loss / max(1, len(train_ids))
-
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.lr.append(state.lr)
-
-        # checkpoint on any strict improvement so the saved epoch is the
-        # argmin; the plateau counter uses min_delta separately
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = get_state(model, best_state)  # in place after the first
-            history.checkpoint_epoch = epoch
-        schedule.observe(state, val_loss)
+    state = TrainState(rng, order[:n_val], order[n_val:],
+                       [_prepare(model, ex) for ex in examples],
+                       init_optimizer(model, config.lr))
+    for _ in range(config.epochs):
+        run_epoch(model, examples, state)
         if progress is not None:
-            progress(epoch, train_loss, val_loss, history.lr[-1])
-
-    if best_state is not None:
-        set_state(model, best_state)
-    return model, history
+            progress(state)
+    if state.best_state is not None:
+        set_state(model, state.best_state)
+    return model, state
 
 
 def examples_from_pairs(pairs, indices=None):

@@ -233,6 +233,30 @@ def test_train_has_no_threshold(tmp_path, capsys):
     assert not (tmp_path / "w.fgsn").exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("train", ("--weights-out", "w.fgw", "--out", "w.fgw"),
+     "--out and --weights-out both name w.fgw"),
+    ("train", ("--weights-out", "w.fgw", "--out", "d/../w.fgw"),
+     "--out and --weights-out both name d/../w.fgw"),
+    ("train", ("--weights-out", "d"), "--weights-out d is a directory"),
+    ("train", ("--weights-out", "w.fgw", "--out", "d"), "--out d is a directory"),
+    ("train", ("--weights-out", "h.fgw"), "--out h.history.csv is a directory"),
+    ("evaluate", ("--data", "scene", "--masks", "m", "--out", "d"), "--out d is a directory"),
+    ("sweep", ("--data", "scene", "--probs", "p", "--out", "d"), "--out d is a directory"),
+])
+def test_output_paths_fail_before_any_work(tmp_path, monkeypatch, capsys,
+                                            command, flags, message):
+    # unchecked, the history CSV would overwrite the weights, or writing to
+    # a directory would fail only after every epoch had run
+    monkeypatch.chdir(tmp_path)
+    for name in ("d", "h.history.csv"):
+        (tmp_path / name).mkdir()
+    source = (*TINY, "--epochs", 1) if command == "train" else ()
+    assert run(command, *source, *flags) == 2
+    assert capsys.readouterr().err == f"fgseg {command}: {message}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "h.history.csv"]
+
+
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2

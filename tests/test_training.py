@@ -534,6 +534,34 @@ def test_model_ends_at_the_checkpoint_not_the_last_epoch():
         assert np.array_equal(m[name].weights, m2[name].weights)
 
 
+def test_checkpoint_and_plateau_keep_their_own_best(monkeypatch):
+    # a gain below min_delta (1e-4) is a checkpoint but a stale plateau
+    # epoch; a tie with the best is neither
+    scripted = iter([1.0, 0.99995, 0.99995])
+    monkeypatch.setattr(training, "_epoch_val_loss", lambda *a: next(scripted))
+    seen = []
+
+    def progress(state):
+        opt = state.optimizer
+        seen.append((state.checkpoint_epoch, opt.wait, opt.plateau_best))
+
+    train(TrainConfig(epochs=3, seed=0), synth_examples(), model.build_model(seed=0),
+          progress=progress)
+    assert seen == [(0, 0, 1.0), (1, 1, 1.0), (1, 2, 1.0)]
+
+
+def test_progress_sees_the_state_train_returns_one_epoch_at_a_time():
+    calls = []
+    _, state = train(TrainConfig(epochs=3, seed=0), synth_examples(),
+                     model.build_model(seed=0),
+                     progress=lambda s: calls.append(
+                         (s, len(s.train_loss), len(s.val_loss), len(s.lr),
+                          s.train_loss[-1], s.val_loss[-1], s.lr[-1])))
+    assert len(calls) == 3 and all(c[0] is state for c in calls)
+    assert [c[1:4] for c in calls] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert [c[4:] for c in calls] == list(zip(state.train_loss, state.val_loss, state.lr))
+
+
 def test_all_void_example_aborts_with_context():
     pairs = data.synth_sequence(SynthConfig(width=16, height=16, n_frames=6,
                                             n_objects=1, object_size=4, seed=0))
