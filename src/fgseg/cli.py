@@ -183,6 +183,8 @@ def validate(cfg):
                     raise ValueError(f"--{name} applies to a synthetic scene only, not to --data")
     if cfg.command == "train":
         _require(cfg, "weights_out")
+        if not cfg.weights_out:   # Path("") is ".", which no file can replace
+            raise ValueError("--weights-out is empty")
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
         weights = Path(cfg.weights_out)   # not with_suffix, which raises on "."
         cfg.out = cfg.out or str(weights.parent / f"{weights.stem}.history.csv")
@@ -199,8 +201,14 @@ def validate(cfg):
         _require(cfg, "out")
     for name in {"train": ("weights_out", "out"), "evaluate": ("out",),
                  "sweep": ("out",)}.get(cfg.command, ()):
-        if (path := getattr(cfg, name)) and Path(path).is_dir():
+        if not (path := getattr(cfg, name)):
+            continue
+        if Path(path).is_dir():
             raise ValueError(f"--{name.replace('_', '-')} {path} is a directory")
+        # a file there leaves no way to make the directories below it
+        ancestor = next(p for p in Path(path).parents if p.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"--{name.replace('_', '-')} {path}: {ancestor} is not a directory")
     if cfg.command == "synth" or getattr(cfg, "synthetic", False):
         given = dict(width=cfg.width, height=cfg.height, n_frames=cfg.frames,
                      n_objects=cfg.objects, seed=cfg.seed)

@@ -452,15 +452,26 @@ def pointwise_activation_backward(grad_out, ctx):
 
 # -------------------------------------------------------------------- dropout
 
+CHUNK = 1 << 15  # elements per chunk of a streamed pass: its arrays stay in cache
+
+
 def dropout(x, rate, training, rng=None):
-    """Inverted dropout; identity at inference.  Returns (y, mask_ctx)."""
+    """Inverted dropout; identity at inference.  Returns (y, mask_ctx).
+    The keep mask is rng.random(x.shape) >= rate, drawn CHUNK uniforms at a
+    time: the same mask and generator state, without a float64 array of x's
+    size."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = rng.random(x.shape) >= rate
+    keep = np.empty(x.shape, dtype=bool)
+    flat = keep.reshape(-1)
+    uniforms = np.empty(min(CHUNK, flat.size))
+    for i in range(0, flat.size, CHUNK):
+        part = flat[i:i + CHUNK]
+        np.greater_equal(rng.random(out=uniforms[:part.size]), rate, out=part)
     scale = x.dtype.type(1.0 / (1.0 - rate))
     return np.where(keep, x * scale, x.dtype.type(0.0)), (keep, scale)
 
@@ -474,24 +485,27 @@ def dropout_backward(grad_out, ctx):
 
 # ----------------------------------------------------------------- upsampling
 
-def upsample_nearest(x, factor, out=None):
+def upsample_nearest(x, factor, out=None, row=0):
     """Replicate every pixel into a factor x factor block.  With out, only
-    the top-left part that out's extents cover, written into out."""
+    the part that out's extents cover from upsampled row `row` on, left
+    columns first, written into out; row need not be a multiple of factor."""
     _check_chw(x, "upsample_nearest")
     if factor < 1:
         raise ValueError(f"upsample factor must be >= 1, got {factor}")
     c, h, w = x.shape
     if out is None:
-        if factor == 1:
+        if factor == 1 and row == 0:
             return x
         out = np.empty((c, h * factor, w * factor), dtype=x.dtype)
-    elif out.shape[0] != c or out.shape[1] > h * factor or out.shape[2] > w * factor:
-        raise ShapeError(f"upsample_nearest: {out.shape} is not within {factor}x "
-                         f"of {x.shape}")
+    if (out.shape[0] != c or not 0 <= row <= h * factor - out.shape[1]
+            or out.shape[2] > w * factor):
+        raise ShapeError(f"upsample_nearest: {out.shape} from row {row} is not "
+                         f"within {factor}x of {x.shape}")
     for a in range(factor):
+        top = (row + a) // factor  # the input row that out's row a repeats
         for b in range(factor):
             part = out[:, a::factor, b::factor]
-            part[...] = x[:, :part.shape[1], :part.shape[2]]
+            part[...] = x[:, top:top + part.shape[1], :part.shape[2]]
     return out
 
 

@@ -27,12 +27,14 @@ from .kernels import (
     NonFiniteError,
     ShapeError,
     _pad_hw,
+    _plan_bands,
     concat_depth_backward,
     conv2d_backward_shared,
     conv2d_forward,
     conv2d_relu_pool,
     dropout,
     dropout_backward,
+    ensure_finite,
     pointwise_activation,
     pointwise_activation_backward,
     tconv2d_backward,
@@ -188,7 +190,8 @@ def layer_table(model: ModelParams):
 # The tape is a flat list of (kind, name, ctx) entries, one group per
 # trainable layer (frozen ones need no backward): the named conv/tconv, the
 # activation, then dropout when the LayerDef has it; encoder scales 0, 1
-# and 2, then the decoder.  backward() slices it by the defs.
+# and 2, then the decoder.  backward() slices it by the defs.  A ReLU
+# followed by dropout records dropout's output as its ctx.
 
 _N_SCALES = DECODER_DEFS[0].in_ch // ENCODER_DEFS[-1].out_ch
 _FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
@@ -200,6 +203,11 @@ def _entry_count(d: LayerDef):
     return 2 + d.dropout_after
 
 
+def _layer_error(d: LayerDef, shape, e):
+    # the input shape tells the three scales apart
+    return NonFiniteError(f"{d.name} on a {'x'.join(map(str, shape))} input: {e}")
+
+
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
     record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
@@ -208,16 +216,20 @@ def _run_layer(model, d: LayerDef, x, training, rng, tape):
             return conv2d_relu_pool(x, p.weights, p.bias, d.spec())
         op = conv2d_forward if d.kind == "conv" else tconv2d_forward
         out, ctx = op(x, p.weights, p.bias, d.spec())
-    except NonFiniteError as e:  # the input shape tells the three scales apart
-        shape = "x".join(map(str, x.shape))
-        raise NonFiniteError(f"{d.name} on a {shape} input: {e}") from e
+    except NonFiniteError as e:
+        raise _layer_error(d, x.shape, e) from e
     record((d.kind, d.name, ctx))
     act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
     out, actx = pointwise_activation(out, act, out=out)  # the layer's own fresh output
-    record((act, None, actx))
-    if d.dropout_after:
-        out, dctx = dropout(out, DROPOUT_RATE, training, rng)
-        record(("dropout", None, dctx))
+    if not d.dropout_after:
+        record((act, None, actx))
+        return out
+    out, dctx = dropout(out, DROPOUT_RATE, training, rng)
+    # dropout's output is > 0 exactly where it keeps a ReLU output > 0, and
+    # dropout's backward zeroes the rest, so the ReLU's test reads it: the
+    # next layer's input, which that layer's ctx holds anyway
+    record((act, None, (act, out)))
+    record(("dropout", None, dctx))
     return out
 
 
@@ -261,27 +273,68 @@ def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
     map (1, H, W).  pyr may instead be frozen_trunk(model, pyr), for the
     same result from less work."""
     h, w = pyr.i0.shape[-2:] if isinstance(pyr, PyramidTriple) else pyr.extents
-    # only _run_layers holds the decoder input, so that, unless the tape
-    # records it, it and the features are freed after the first layer
-    return _run_layers(model, DECODER_DEFS, _decoder_input(model, pyr, training, rng, tape),
-                       training, rng, tape)[:, :h, :w]
-
-
-def _decoder_input(model, pyr, training, rng, tape):
-    """The three scales' encoder features on the finest feature grid,
-    depth-concatenated: each scale's are upsampled straight into their
-    channels of the one decoder input."""
-    if isinstance(pyr, PyramidTriple):
-        feats = [encode_scale(model, image, training, rng, tape)
-                 for image in _scale_images(pyr)]
+    # only _run_layers holds the first decoder layer's input (its output,
+    # without a tape), so, unless the tape records it, it and the features
+    # are freed once the next layer starts
+    if tape is None:
+        out = _run_layers(model, DECODER_DEFS[1:],
+                          _first_decoder_layer(model, _features(model, pyr, training, rng)),
+                          training, rng)
     else:
-        feats = [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
-                 for x in pyr.scales]
-    c, th, tw = feats[0].shape
-    x = np.empty((len(feats) * c, th, tw), dtype=feats[0].dtype)
+        out = _run_layers(model, DECODER_DEFS,
+                          _decoder_input(_features(model, pyr, training, rng, tape)),
+                          training, rng, tape)
+    return out[:, :h, :w]
+
+
+def _features(model, pyr, training, rng, tape=None):
+    """The encoder's output at each scale."""
+    if isinstance(pyr, PyramidTriple):
+        return [encode_scale(model, image, training, rng, tape)
+                for image in _scale_images(pyr)]
+    return [_run_layers(model, _TRAINED_ENCODER_DEFS, x, training, rng, tape)
+            for x in pyr.scales]
+
+
+def _upsampled_rows(feats, out, row):
+    """Rows row.. of the decoder input, as many as out holds: each scale's
+    features upsampled straight into its channels of out."""
+    c = feats[0].shape[0]
     for s, f in enumerate(feats):
-        upsample_nearest(f, 2 ** s, out=x[s * c:(s + 1) * c])
-    return x
+        upsample_nearest(f, 2 ** s, out=out[s * c:(s + 1) * c], row=row)
+    return out
+
+
+def _decoder_input(feats):
+    """The scales' features on the finest feature grid, depth-concatenated."""
+    c, th, tw = feats[0].shape
+    return _upsampled_rows(feats, np.empty((len(feats) * c, th, tw), feats[0].dtype), 0)
+
+
+def _first_decoder_layer(model, feats):
+    """The first decoder layer (a 1x1 tconv) and its ReLU on
+    _decoder_input(feats) without a tape, one band of the feature grid at a
+    time: each band's rows of that input are upsampled into one reused
+    buffer and its GEMM writes its columns of the output, so the input never
+    exists whole.  The bands' 64-column cuts keep the output bit-identical
+    to tconv2d_forward's."""
+    d, p = DECODER_DEFS[0], model[DECODER_DEFS[0].name]
+    th, tw = feats[0].shape[1:]
+    w2 = p.weights.reshape(d.in_ch, d.out_ch).T
+    bands = _plan_bands([(th, tw)], d.in_ch * feats[0].itemsize)
+    buf = np.empty(d.in_ch * bands[0][0][2] * tw, feats[0].dtype)
+    y = np.empty((d.out_ch, th * tw), dtype=np.result_type(feats[0], w2))
+    for [(_, r0, nr, _)] in bands:
+        x = _upsampled_rows(feats, buf[:d.in_ch * nr * tw].reshape(d.in_ch, nr, tw), r0)
+        band = y[:, r0 * tw:(r0 + nr) * tw]
+        np.matmul(w2, x.reshape(d.in_ch, -1), out=band)
+        band += p.bias[:, None]
+        try:
+            ensure_finite(band, "tconv2d")
+        except NonFiniteError as e:
+            raise _layer_error(d, (d.in_ch, th, tw), e) from e
+        pointwise_activation(band, "relu", out=band)
+    return y.reshape(d.out_ch, th, tw)
 
 
 # ----------------------------------------------------------------- backward

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabelMask, as_map
-from .kernels import NonFiniteError, ShapeError
+from .kernels import CHUNK, NonFiniteError, ShapeError
 from .model import ModelParams, backward, forward, frozen_trunk, get_state, set_state
 from .pyramid import build_pyramid
 
@@ -21,7 +21,6 @@ PROB_CLIP = 1e-7
 RHO = 0.9          # RMSProp decay of the squared-gradient average
 EPSILON = 1e-8     # RMSProp denominator guard
 VAL_SPLIT = 0.20   # share of the examples held out for validation
-CHUNK = 1 << 15    # elements per RMSProp chunk: its six arrays stay in cache
 
 
 def _check_frame_count(n):

@@ -257,6 +257,28 @@ def test_output_paths_fail_before_any_work(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "h.history.csv"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--weights-out", ""), "--weights-out is empty"),
+    (("--weights-out", "wt/afile/w.fgw"), "--weights-out wt/afile/w.fgw: "
+                                          "wt/afile is not a directory"),
+    (("--weights-out", "w.fgw", "--out", "wt/afile/sub/h.csv"),
+     "--out wt/afile/sub/h.csv: wt/afile is not a directory"),
+])
+def test_unwritable_train_outputs_fail_before_epoch_one(tmp_path, monkeypatch, capsys,
+                                                        flags, message):
+    # unchecked, each ran every epoch and then failed to save: an empty
+    # path names ".", and a file stands where a directory must be made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wt").mkdir()
+    (tmp_path / "wt" / "afile").write_bytes(b"x")
+    assert run("train", *TINY, "--epochs", 1, *flags) == 2
+    out, err = capsys.readouterr()
+    assert err == f"fgseg train: {message}\n"
+    assert "train:" not in out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "wt"]
+    assert (tmp_path / "wt" / "afile").read_bytes() == b"x"
+
+
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2

@@ -679,6 +679,18 @@ def test_dropout_same_seed_same_mask():
     assert np.array_equal(y1, y2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_draws_its_mask_in_chunks_as_one_draw(dtype):
+    # about 2.5 chunks, the last one ragged: the mask and the generator's
+    # state after it are those of one float64 draw over the whole input
+    x = np.ones((5, kernels.CHUNK // 2 + 7), dtype=dtype)
+    rng, plain = np.random.default_rng(23), np.random.default_rng(23)
+    y, (keep, scale) = dropout(x, 0.5, training=True, rng=rng)
+    assert np.array_equal(keep, plain.random(x.shape) >= 0.5)
+    assert rng.bit_generator.state == plain.bit_generator.state
+    assert y.dtype == dtype and np.array_equal(y, np.where(keep, x * scale, 0))
+
+
 def test_dropout_backward_finite_differences():
     # fix the mask by rebuilding the generator inside the loss closure
     rng = np.random.default_rng(20)
@@ -704,6 +716,20 @@ def test_upsample_replicates_blocks():
     expect = np.array([[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]],
                       dtype=np.float64)
     assert np.array_equal(y, expect)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_upsample_rows_from_any_row_match_the_whole_map(factor):
+    # a band of the upsampled map from a row that need not start a block,
+    # and cropped on the right, as the decoder input's bands are written
+    x = np.random.default_rng(24).standard_normal((3, 5, 4))
+    whole = upsample_nearest(x, factor)
+    for row in range(5 * factor - 2):
+        out = np.full((3, 2, 4 * factor - 1), np.nan)
+        assert upsample_nearest(x, factor, out=out, row=row) is out
+        assert np.array_equal(out, whole[:, row:row + 2, :4 * factor - 1])
+    with pytest.raises(ShapeError, match="from row"):
+        upsample_nearest(x, factor, out=np.empty((3, 2, 4)), row=5 * factor - 1)
 
 
 def test_upsample_factor_one_identity():

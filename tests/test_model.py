@@ -235,11 +235,12 @@ def test_encoder_weights_shared_across_scales(small_model):
 
 def test_forward_peak_memory_at_320x240():
     # inference keeps no layer context and frees the three scales' features
-    # and their 1536-channel concatenation after the first decoder layer;
-    # every convolution pads and builds its patch columns one band of rows
-    # at a time, ReLU acts in place, pooled layers keep only pooled rows,
-    # and each scale is upsampled straight into the decoder input.
-    # Measured 46.7 MB (numpy 2.4, f32); the bound adds a 3 MB margin.
+    # after the first decoder layer, which upsamples them one band at a time
+    # instead of building their 1536-channel concatenation; every
+    # convolution pads and builds its patch columns one band of rows at a
+    # time, ReLU acts in place and pooled layers keep only pooled rows.
+    # Measured 46.7 MB (numpy 2.4, f32), in dec.b8.t5x5; the bound adds a
+    # 3 MB margin.
     # Whole-array padding, a second array per ReLU, per-scale upsampled
     # copies and block 4's 47 MB bands took it to 78.6 MB.
     net = build_model(seed=4)
@@ -247,6 +248,19 @@ def test_forward_peak_memory_at_320x240():
     pyr = build_pyramid(frame)
     peak = numpy_peak(lambda: forward(net, pyr))
     assert peak < 46.7e6 + 3e6
+
+
+def test_forward_peak_memory_at_720x480():
+    # CDnet 2014's largest frames: without a tape the first decoder layer
+    # runs one band of the feature grid at a time, so the 1536-channel
+    # decoder input (133 MB here) never exists whole.  Measured 168.1 MB
+    # (numpy 2.4, f32); the bound adds a 3 MB margin.  Built whole, the
+    # input took the peak to 190.8 MB.
+    net = build_model(seed=4)
+    frame = np.random.default_rng(4).uniform(0, 255, (3, 480, 720)).astype(np.float32)
+    pyr = build_pyramid(frame)
+    peak = numpy_peak(lambda: forward(net, pyr))
+    assert peak < 168.1e6 + 3e6
 
 
 # backward --------------------------------------------------------------
@@ -370,6 +384,85 @@ def test_forward_pads_and_crops_unaligned_frames(dtype):
     assert got.shape == (1, 58, 62) and got.dtype == dtype
     assert np.array_equal(got, expected)
     assert np.array_equal(forward(m, M.frozen_trunk(m, pyr)), expected)
+
+
+@pytest.mark.parametrize("h,w,band_rows", [
+    (64, 64, [0]),
+    (58, 62, [0]),            # _unaligned_frame's extents
+    (240, 320, [0, 20, 40]),
+    (180, 256, [0, 23]),      # a 45x64 grid: the second band starts on an odd row
+])
+def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, h, w, band_rows):
+    # without a tape, dec.b5.t1x1a runs band by band on rows of the decoder
+    # input upsampled from each scale; with one, on the whole input
+    m = small_model
+    grid = (-(-h // 4), -(-w // 4))
+    bands = kernels._plan_bands([grid], 1536 * 4)
+    assert [r0 for [(_, r0, _, _)] in bands] == band_rows
+    frame = (_unaligned_frame(np.float32) if (h, w) == (58, 62) else
+             np.random.default_rng(71).uniform(0, 255, (3, h, w)).astype(np.float32))
+    trunk = M.frozen_trunk(m, build_pyramid(frame))
+    banded = forward(m, trunk)
+    assert banded.shape == (1, h, w)
+    assert np.array_equal(banded, forward(m, trunk, tape=[]))
+
+
+@pytest.mark.parametrize("tape", [None, []])
+def test_non_finite_first_decoder_layer_names_it_on_both_paths(small_model, tape):
+    layers = {n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+              for n, p in small_model.layers.items()}
+    layers["dec.b5.t1x1a"].weights = layers["dec.b5.t1x1a"].weights.copy()
+    layers["dec.b5.t1x1a"].weights.flat[7] = np.nan
+    image = np.random.default_rng(0).uniform(0, 255, (3, 16, 16)).astype(np.float32)
+    message = "dec.b5.t1x1a on a 1536x4x4 input: tconv2d: non-finite values in result"
+    with pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$"), \
+            np.errstate(invalid="ignore"):
+        forward(ModelParams(layers, small_model.dtype), build_pyramid(image), tape=tape)
+
+
+def test_block4_relu_reads_the_dropout_output_the_next_conv_holds(small_model):
+    tape, _ = _training_tape(small_model)
+    convs = [i for i, e in enumerate(tape) if e[0] == "conv"]
+    assert len(convs) == 9  # block 4's three layers at three scales
+    for i in convs:
+        if tape[i][1] == "enc.b4.c3":
+            continue
+        (relu, _, (_, seen)), (dropout, _, (keep, _)), nxt = tape[i + 1:i + 4]
+        assert (relu, dropout, nxt[0]) == ("relu", "dropout", "conv")
+        assert seen is nxt[2][0]
+        assert not keep.all() and np.any(keep & (seen == 0))
+
+
+def test_block4_gradients_with_dropout_match_finite_differences():
+    # the ReLU backward of a dropout layer tests dropout's output, not its
+    # own: a wrong mask would show where dropout keeps a zero
+    m = build_model(seed=3, dtype=np.float64)
+    rng = np.random.default_rng(72)
+    trunk = M.frozen_trunk(m, build_pyramid(rng.uniform(0, 255, size=(3, 16, 16))))
+    probe = rng.standard_normal((1, 16, 16))
+    h = 1e-4
+
+    def loss():
+        # dropout mask fixed by reseeding the generator every evaluation
+        tape = []
+        out = forward(m, trunk, training=True, rng=np.random.default_rng(98), tape=tape)
+        return float(np.sum(out * probe)), tape
+
+    grads = backward(m, loss()[1], probe)
+    worst = 0.0
+    for name in ("enc.b4.c1", "enc.b4.c2", "enc.b4.c3"):
+        w = m[name].weights
+        for flat in rng.choice(w.size, size=4, replace=False):
+            orig = w.flat[flat]
+            w.flat[flat] = orig + h
+            up, _ = loss()
+            w.flat[flat] = orig - h
+            down, _ = loss()
+            w.flat[flat] = orig
+            fd = (up - down) / (2 * h)
+            analytic = grads[name][0].flat[flat]
+            worst = max(worst, abs(analytic - fd) / max(1e-8, abs(analytic) + abs(fd)))
+    assert worst < 1e-4
 
 
 def _plain_backward(tape, grad_out):
