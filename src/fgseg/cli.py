@@ -234,10 +234,12 @@ def _frame_number(path, index):
 def _training_examples(cfg, data, training):
     manifest = training.read_manifest(cfg.manifest) if cfg.manifest else None
     if cfg.synthetic:
-        pairs = data.synth_sequence(cfg.scene)
-        indices = training.select_frames(len(pairs), cfg.frames, cfg.seed,
+        indices = training.select_frames(cfg.scene.n_frames, cfg.frames, cfg.seed,
                                          focus_list=manifest)
-        return training.examples_from_pairs(pairs, indices)
+        # the scene is drawn in order, and only the chosen frames are kept
+        chosen = {i: pair for i, pair in enumerate(data.synth_frames(cfg.scene))
+                  if i in indices}
+        return training.examples_from_pairs(chosen, indices)
     handle = data.load_sequence(cfg.data)
     start, stop = data.temporal_range(handle)
     if manifest:
@@ -288,8 +290,7 @@ def cmd_train(cfg, data, model, training):
 def _segment_inputs(cfg, data):
     """Yields (mask number, frame tensor)."""
     if cfg.synthetic:
-        pairs = data.synth_sequence(cfg.scene)
-        for i, (frame, _) in enumerate(pairs):
+        for i, (frame, _) in enumerate(data.synth_frames(cfg.scene)):
             yield i + 1, frame
     else:
         handle = data.load_sequence(cfg.data)
@@ -331,6 +332,7 @@ def _report(cfg, rows, data, metrics, *lines):
     for line in lines:
         print(line)
     if cfg.out:
+        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         with data.atomic_write(cfg.out, "w", newline="") as fh:
             metrics.emit_csv(rows, fh)
         print(f"wrote {cfg.out}")

@@ -284,11 +284,12 @@ def _dilate8(mask):
     return out
 
 
-def synth_sequence(config: SynthConfig):
+def synth_frames(config: SynthConfig):
     """Moving bright objects over a textured background.
 
-    Returns a list of (frame float32 (3,H,W), LabelMask).  Ground truth marks
-    object pixels foreground with a 1-px unknown halo around them.
+    Yields (frame float32 (3,H,W), LabelMask) for each of the scene's
+    frames, drawn as it is asked for.  Ground truth marks object pixels
+    foreground with a 1-px unknown halo around them.
     """
     rng = np.random.default_rng(config.seed)
     h, w, size = config.height, config.width, config.object_size
@@ -302,7 +303,6 @@ def synth_sequence(config: SynthConfig):
     angles = rng.uniform(0, 2 * math.pi, size=config.n_objects)
     vel = [config.speed * np.array([math.sin(a), math.cos(a)]) for a in angles]
 
-    frames = []
     for _ in range(config.n_frames):
         frame = np.empty((3, h, w), dtype=np.float32)
         for c in range(3):
@@ -331,8 +331,12 @@ def synth_sequence(config: SynthConfig):
         raw[_dilate8(fg) & ~fg] = CODE_UNKNOWN
         raw[fg] = CODE_FOREGROUND
         np.clip(frame, 0.0, 255.0, out=frame)
-        frames.append((frame, LabelMask(raw)))
-    return frames
+        yield frame, LabelMask(raw)
+
+
+def synth_sequence(config: SynthConfig):
+    """The list of synth_frames(config)."""
+    return list(synth_frames(config))
 
 
 def write_synth_dataset(config: SynthConfig, root):
@@ -340,13 +344,12 @@ def write_synth_dataset(config: SynthConfig, root):
     root = Path(root)
     (root / "input").mkdir(parents=True, exist_ok=True)
     (root / "groundtruth").mkdir(parents=True, exist_ok=True)
-    frames = synth_sequence(config)
-    for i, (frame, labels) in enumerate(frames, start=1):
+    for i, (frame, labels) in enumerate(synth_frames(config), start=1):
         rgb = np.rint(frame.transpose(1, 2, 0)).clip(0, 255).astype(np.uint8)
         write_ppm(root / "input" / f"in{i:06d}.ppm", rgb)
         write_pgm(root / "groundtruth" / f"gt{i:06d}.pgm", labels.raw)
     with atomic_write(root / "temporalROI.txt", "w") as fh:
-        fh.write(f"1 {len(frames)}\n")
+        fh.write(f"1 {config.n_frames}\n")
     write_pgm(root / "ROI.pgm", np.full((config.height, config.width), 255, np.uint8))
     return root
 

@@ -18,7 +18,8 @@ Arrays are numpy ndarrays in channel-major layout; float32 by default,
 float64 for gradient checking.
 
 Only the GEMM ops, where an overflow first shows, raise ``NonFiniteError``:
-``conv2d_forward`` and ``conv2d_relu_pool`` per band, and ``tconv2d_forward``.
+``conv2d_forward`` and ``conv2d_relu_pool`` per band, and ``tconv2d_forward``;
+``tconv2d_bands`` leaves each band's check to its caller.
 ReLU, sigmoid and max-pool keep a finite array finite.  An overflow in
 dropout's scale or in a backward sum reaches the next GEMM's check or the
 next layer's weight gradient; backward returns gradients unchecked, and the
@@ -152,22 +153,27 @@ _BAND_BYTES = 8 << 20
 _BAND_ALIGN = 64  # columns; BLAS sums a GEMM's ragged last columns apart
 
 
-def _plan_bands(grids, col_bytes):
+def _aligned_rows(width):
+    """The fewest rows of width columns that make a multiple of _BAND_ALIGN."""
+    return _BAND_ALIGN // math.gcd(width, _BAND_ALIGN)
+
+
+def _plan_bands(grids, col_bytes, step=1):
     """Split the output rows of grids [(rows, columns per row)], taken in
     turn, into even bands of at least _BAND_BYTES at col_bytes a column, the
     last band excepted, so a band's buffers stay under 2 * _BAND_BYTES where
     they can.  Each band is a list of (grid, first row, rows, columns per
     row).  A band that ends inside a grid ends on a multiple of _BAND_ALIGN
-    columns, which keeps each GEMM's output bit-identical to one GEMM over
-    all columns."""
+    columns, and of step rows, which keeps each GEMM's output bit-identical
+    to one GEMM over all columns."""
     total = sum(ho * wo for ho, wo in grids)
     cap = -(-total // max(1, total * col_bytes // _BAND_BYTES))
     bands, band, n = [], [], 0
     for i, (ho, wo) in enumerate(grids):
-        step = _BAND_ALIGN // math.gcd(wo, _BAND_ALIGN)  # rows
+        step_i = math.lcm(step, _aligned_rows(wo))  # rows
         r0 = 0
         while r0 < ho:
-            nr = min(ho - r0, -(-(cap - n) // (wo * step)) * step)
+            nr = min(ho - r0, -(-(cap - n) // (wo * step_i)) * step_i)
             band.append((i, r0, nr, wo))
             n, r0 = n + nr * wo, r0 + nr
             if n >= cap:
@@ -312,17 +318,29 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     (H-1)*stride - 2*pad + kernel + output_pad per axis.
     """
     _check_conv("tconv2d", x, w, b, spec, (spec.in_channels, spec.out_channels))
-    h, wd = x.shape[1:]
-    ho, wo = spec.tconv_out_hw(h, wd)
+    ho, wo = spec.tconv_out_hw(*x.shape[1:])
     y = np.empty((spec.out_channels, ho, wo), dtype=np.result_type(x, w))
-    ctx = (x, w, spec)
     if (spec.kernel, spec.stride, spec.pad) == (1, 1, 0):
         # one unshifted tap: its GEMM writes y itself
         np.matmul(w.reshape(spec.in_channels, -1).T, x.reshape(spec.in_channels, -1),
                   out=y.reshape(spec.out_channels, -1))
         y += b[:, None, None]
-        ensure_finite(y, "tconv2d")
-        return y, ctx
+    else:
+        for _ in tconv2d_bands(x, w, b, spec, y):
+            pass
+    ensure_finite(y, "tconv2d")
+    return y, (x, w, spec)
+
+
+def tconv2d_bands(x, w, b, spec: ConvSpec, y=None):
+    """Iterate (first output row, band) over tconv2d_forward's output, bias
+    added and not yet checked finite, one band of output rows at a time:
+    each band is its rows of y when y is given, else the front of one
+    buffer that every band reuses.  Any spec but the 1x1 one.  A band of
+    that buffer ends on a multiple of _BAND_ALIGN output columns, so a GEMM
+    over one band's columns gives the bits of one GEMM over all of them."""
+    h, wd = x.shape[1:]
+    ho, wo = spec.tconv_out_hw(h, wd)
     s = spec.stride
     # Output pixel i takes tap a from input row m = (i + pad - a) / s where
     # that divides, so output phase p = i mod s sums, over its taps, one
@@ -337,13 +355,18 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
     wp = wd + 2 * q
     reach = max([0] + [d for _, taps in phases_h for _, d in taps]) + q + 1
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    dtype = np.result_type(x, w)
     # phase 0 has the most rows; later phases use the front of the buffers
     bands = _plan_bands([(phases_h[0][0], wp)],
-                        (spec.in_channels + 2 * spec.out_channels) * y.itemsize)
+                        (spec.in_channels + 2 * spec.out_channels) * dtype.itemsize,
+                        1 if y is not None else _aligned_rows(s * wo))
     rows = bands[0][0][2]
-    acc = np.empty((spec.out_channels, rows * wp), y.dtype)
+    acc = np.empty((spec.out_channels, rows * wp), dtype)
     tap = np.empty_like(acc)
+    out = np.empty((spec.out_channels, min(ho, s * rows), wo), dtype) if y is None else y
     for [(_, m0, _, _)] in bands:
+        top = s * m0 if y is not None else 0
+        band = out[:, top:top + min(ho - s * m0, s * rows)]
         flat = _pad_hw(x, q - m0, m0 + rows + reach - q - h, q, q).reshape(spec.in_channels, -1)
         for py, (nh, taps_h) in enumerate(phases_h):
             nm = min(rows, nh - m0)
@@ -356,9 +379,9 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
                     if t:
                         acc[:, :n] += tap[:, :n]
                 phase = acc[:, :n].reshape(spec.out_channels, nm, wp)[:, :, :nw] if taps else 0
-                np.add(phase, b[:, None, None], out=y[:, py::s, px::s][:, m0:m0 + nm])
-    ensure_finite(y, "tconv2d")
-    return y, ctx
+                np.add(phase, b[:, None, None], out=band[:, py::s, px::s][:, :nm])
+        del flat
+        yield s * m0, band
 
 
 def _phase_taps(s, k, pad, n_out, n_in):

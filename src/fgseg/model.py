@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import pad_to_multiple
 from .kernels import (
+    CHUNK,
     ConvSpec,
     NonFiniteError,
     ShapeError,
@@ -38,6 +39,7 @@ from .kernels import (
     pointwise_activation,
     pointwise_activation_backward,
     tconv2d_backward,
+    tconv2d_bands,
     tconv2d_forward,
     upsample_nearest,
     upsample_nearest_backward,
@@ -125,8 +127,15 @@ class ModelParams:
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
+    """rng.uniform(-bound, bound, size=shape).astype(dtype), drawn CHUNK
+    values at a time: the same values and generator state, without a
+    float64 array of the whole shape."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    w = np.empty(shape, dtype)
+    flat = w.reshape(-1)
+    for i in range(0, flat.size, CHUNK):
+        flat[i:i + CHUNK] = rng.uniform(-bound, bound, size=min(CHUNK, flat.size - i))
+    return w
 
 
 def _weight_shape(d: LayerDef):
@@ -208,6 +217,10 @@ def _layer_error(d: LayerDef, shape, e):
     return NonFiniteError(f"{d.name} on a {'x'.join(map(str, shape))} input: {e}")
 
 
+def _activation(d: LayerDef):
+    return "sigmoid" if d == DECODER_DEFS[-1] else "relu"
+
+
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
     record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
@@ -219,7 +232,7 @@ def _run_layer(model, d: LayerDef, x, training, rng, tape):
     except NonFiniteError as e:
         raise _layer_error(d, x.shape, e) from e
     record((d.kind, d.name, ctx))
-    act = "sigmoid" if d == DECODER_DEFS[-1] else "relu"
+    act = _activation(d)
     out, actx = pointwise_activation(out, act, out=out)  # the layer's own fresh output
     if not d.dropout_after:
         record((act, None, actx))
@@ -273,13 +286,12 @@ def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
     map (1, H, W).  pyr may instead be frozen_trunk(model, pyr), for the
     same result from less work."""
     h, w = pyr.i0.shape[-2:] if isinstance(pyr, PyramidTriple) else pyr.extents
-    # only _run_layers holds the first decoder layer's input (its output,
-    # without a tape), so, unless the tape records it, it and the features
-    # are freed once the next layer starts
+    # only the callee holds each layer's input (its output, without a tape),
+    # so, unless the tape records it, it is freed once the next layer starts
     if tape is None:
-        out = _run_layers(model, DECODER_DEFS[1:],
-                          _first_decoder_layer(model, _features(model, pyr, training, rng)),
-                          training, rng)
+        out = _decoder_tail(model, _run_layers(
+            model, DECODER_DEFS[1:-2],
+            _first_decoder_layer(model, _features(model, pyr, training, rng))))
     else:
         out = _run_layers(model, DECODER_DEFS,
                           _decoder_input(_features(model, pyr, training, rng, tape)),
@@ -311,6 +323,26 @@ def _decoder_input(feats):
     return _upsampled_rows(feats, np.empty((len(feats) * c, th, tw), feats[0].dtype), 0)
 
 
+def _check_band(d, shape, band):
+    """ensure_finite on a band of layer d's output, named as _run_layer
+    names the whole layer on its input's shape."""
+    try:
+        ensure_finite(band, "tconv2d")
+    except NonFiniteError as e:
+        raise _layer_error(d, shape, e) from e
+
+
+def _pointwise_band(model, d, x, out, shape):
+    """Layer d, a 1x1 tconv, and its activation on x, columns (in_ch, n) of
+    its input shaped shape, into out (out_ch, n): the same GEMM, bias and
+    activation as _run_layer's, on a band."""
+    p = model[d.name]
+    np.matmul(p.weights.reshape(d.in_ch, d.out_ch).T, x, out=out)
+    out += p.bias[:, None]
+    _check_band(d, shape, out)
+    pointwise_activation(out, _activation(d), out=out)
+
+
 def _first_decoder_layer(model, feats):
     """The first decoder layer (a 1x1 tconv) and its ReLU on
     _decoder_input(feats) without a tape, one band of the feature grid at a
@@ -318,23 +350,36 @@ def _first_decoder_layer(model, feats):
     buffer and its GEMM writes its columns of the output, so the input never
     exists whole.  The bands' 64-column cuts keep the output bit-identical
     to tconv2d_forward's."""
-    d, p = DECODER_DEFS[0], model[DECODER_DEFS[0].name]
+    d = DECODER_DEFS[0]
     th, tw = feats[0].shape[1:]
-    w2 = p.weights.reshape(d.in_ch, d.out_ch).T
     bands = _plan_bands([(th, tw)], d.in_ch * feats[0].itemsize)
     buf = np.empty(d.in_ch * bands[0][0][2] * tw, feats[0].dtype)
-    y = np.empty((d.out_ch, th * tw), dtype=np.result_type(feats[0], w2))
+    y = np.empty((d.out_ch, th * tw), dtype=np.result_type(feats[0], model.dtype))
     for [(_, r0, nr, _)] in bands:
         x = _upsampled_rows(feats, buf[:d.in_ch * nr * tw].reshape(d.in_ch, nr, tw), r0)
-        band = y[:, r0 * tw:(r0 + nr) * tw]
-        np.matmul(w2, x.reshape(d.in_ch, -1), out=band)
-        band += p.bias[:, None]
-        try:
-            ensure_finite(band, "tconv2d")
-        except NonFiniteError as e:
-            raise _layer_error(d, (d.in_ch, th, tw), e) from e
-        pointwise_activation(band, "relu", out=band)
+        _pointwise_band(model, d, x.reshape(d.in_ch, -1), y[:, r0 * tw:(r0 + nr) * tw],
+                        (d.in_ch, th, tw))
     return y.reshape(d.out_ch, th, tw)
+
+
+def _decoder_tail(model, x):
+    """The last two decoder layers, a 5x5 upscaling tconv and a 1x1 one,
+    with their ReLU and sigmoid on x without a tape, one band of the first's
+    output rows at a time (tconv2d_bands'): each band is checked, rectified
+    and run through the 1x1 layer into its rows of the output, so the
+    full-resolution 64-channel map never exists whole.  The bands'
+    64-column cuts keep the output bit-identical to tconv2d_forward's."""
+    up, last = DECODER_DEFS[-2:]
+    p = model[up.name]
+    ho, wo = up.spec().tconv_out_hw(*x.shape[1:])
+    y = np.empty((last.out_ch, ho, wo), dtype=np.result_type(x, model.dtype))
+    for r0, band in tconv2d_bands(x, p.weights, p.bias, up.spec()):
+        _check_band(up, x.shape, band)
+        pointwise_activation(band, "relu", out=band)
+        nr = band.shape[1]
+        _pointwise_band(model, last, band.reshape(up.out_ch, -1),
+                        y[:, r0:r0 + nr].reshape(last.out_ch, -1), (up.out_ch, ho, wo))
+    return y
 
 
 # ----------------------------------------------------------------- backward
@@ -442,7 +487,8 @@ def save_weights(model: ModelParams, path):
             fh.write(struct.pack("<BB", code, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(struct.pack("<Bf", int(trainable), float(l2)))
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+            # the array's own buffer, not a bytes copy of it
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
 
 
 def read_container(path):

@@ -311,7 +311,8 @@ def train(config: TrainConfig, examples, model: ModelParams, progress=None):
 
 
 def examples_from_pairs(pairs, indices=None):
-    """Wrap (frame, LabelMask) pairs; indices selects a subset."""
+    """Wrap (frame, LabelMask) pairs, a list or a dict by frame index;
+    indices selects a subset."""
     if indices is None:
         indices = range(len(pairs))
     return [TrainingExample(pairs[i][0], pairs[i][1], i) for i in indices]

@@ -482,6 +482,21 @@ def test_sweep_emits_nine_rows_and_best_line(tmp_path, capsys):
                         "best threshold: 0.1 (F-Measure=0.0000)"]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_report_makes_the_missing_directories_of_out(tmp_path, monkeypatch, capsys, command):
+    # train makes its outputs' directories; these two failed after the
+    # table, naming atomic_write's temp file
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "scene", "--frames", 3, "--width", 16, "--height", 16) == 0
+    perfect_masks(tmp_path / "scene", tmp_path / "m")
+    for i in range(3):
+        data.write_prob_map(np.full((16, 16), 0.5, np.float32), tmp_path / "m" / f"prob{i + 1:06d}.pgm")
+    flag = "--masks" if command == "evaluate" else "--probs"
+    assert run(command, "--data", "scene", flag, "m", "--out", "nodir/sub/x.csv") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote nodir/sub/x.csv"
+    assert (tmp_path / "nodir" / "sub" / "x.csv").read_text().startswith("Name,")
+
+
 def test_sweep_holds_one_probability_map_at_a_time(tmp_path, monkeypatch, capsys):
     scene, probs = tmp_path / "scene", tmp_path / "probs"
     assert run("synth", "--out", scene, "--frames", 6, "--width", 16,
@@ -546,7 +561,7 @@ def test_train_config_objects_reach_the_synthetic_scene(tmp_path, monkeypatch):
         seen.append(config.n_objects)
         raise ValueError("stop before training")
 
-    monkeypatch.setattr(data, "synth_sequence", stop)
+    monkeypatch.setattr(data, "synth_frames", stop)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("objects=3\n")
     assert run("train", *TINY, "--config", cfgfile,

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -236,31 +237,35 @@ def test_encoder_weights_shared_across_scales(small_model):
 def test_forward_peak_memory_at_320x240():
     # inference keeps no layer context and frees the three scales' features
     # after the first decoder layer, which upsamples them one band at a time
-    # instead of building their 1536-channel concatenation; every
-    # convolution pads and builds its patch columns one band of rows at a
-    # time, ReLU acts in place and pooled layers keep only pooled rows.
-    # Measured 46.7 MB (numpy 2.4, f32), in dec.b8.t5x5; the bound adds a
-    # 3 MB margin.
-    # Whole-array padding, a second array per ReLU, per-scale upsampled
-    # copies and block 4's 47 MB bands took it to 78.6 MB.
+    # instead of building their 1536-channel concatenation; the last two
+    # decoder layers run one band of output rows at a time, so dec.b8.t5x5's
+    # full-resolution output never exists whole; every convolution pads and
+    # builds its patch columns one band of rows at a time, ReLU acts in
+    # place and pooled layers keep only pooled rows.  Measured 35.6 MB
+    # (numpy 2.4, f32), in enc.b1.c2; the bound adds a 3 MB margin.
+    # dec.b8.t5x5's whole output took it to 46.7 MB; whole-array padding, a
+    # second array per ReLU, per-scale upsampled copies and block 4's 47 MB
+    # bands to 78.6 MB.
     net = build_model(seed=4)
     frame = np.random.default_rng(4).uniform(0, 255, (3, 240, 320)).astype(np.float32)
     pyr = build_pyramid(frame)
     peak = numpy_peak(lambda: forward(net, pyr))
-    assert peak < 46.7e6 + 3e6
+    assert peak < 35.6e6 + 3e6
 
 
 def test_forward_peak_memory_at_720x480():
     # CDnet 2014's largest frames: without a tape the first decoder layer
     # runs one band of the feature grid at a time, so the 1536-channel
-    # decoder input (133 MB here) never exists whole.  Measured 168.1 MB
-    # (numpy 2.4, f32); the bound adds a 3 MB margin.  Built whole, the
-    # input took the peak to 190.8 MB.
+    # decoder input (133 MB here) never exists whole, and the last two run
+    # one band of output rows at a time, so neither does dec.b8.t5x5's
+    # 88.5 MB output.  Measured 148.3 MB (numpy 2.4, f32), in enc.b4.c2;
+    # the bound adds a 3 MB margin.  dec.b8.t5x5's whole output took the
+    # peak to 168.1 MB, and the whole input to 190.8 MB.
     net = build_model(seed=4)
     frame = np.random.default_rng(4).uniform(0, 255, (3, 480, 720)).astype(np.float32)
     pyr = build_pyramid(frame)
     peak = numpy_peak(lambda: forward(net, pyr))
-    assert peak < 168.1e6 + 3e6
+    assert peak < 148.3e6 + 3e6
 
 
 # backward --------------------------------------------------------------
@@ -392,19 +397,56 @@ def test_forward_pads_and_crops_unaligned_frames(dtype):
     (240, 320, [0, 20, 40]),
     (180, 256, [0, 23]),      # a 45x64 grid: the second band starts on an odd row
 ])
-def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, h, w, band_rows):
+def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, monkeypatch,
+                                                             h, w, band_rows):
     # without a tape, dec.b5.t1x1a runs band by band on rows of the decoder
-    # input upsampled from each scale; with one, on the whole input
+    # input upsampled from each scale, and dec.b8.t5x5 with dec.b9.t1x1 on
+    # bands of output rows; with one, each layer on its whole input
     m = small_model
     grid = (-(-h // 4), -(-w // 4))
     bands = kernels._plan_bands([grid], 1536 * 4)
     assert [r0 for [(_, r0, _, _)] in bands] == band_rows
+    tail_rows = {(64, 64): [0], (58, 62): [0], (240, 320): [0, 128], (180, 256): [0]}
     frame = (_unaligned_frame(np.float32) if (h, w) == (58, 62) else
              np.random.default_rng(71).uniform(0, 255, (3, h, w)).astype(np.float32))
     trunk = M.frozen_trunk(m, build_pyramid(frame))
+    tail = _record_tail_bands(monkeypatch)
     banded = forward(m, trunk)
+    assert tail == [tail_rows[h, w]]
     assert banded.shape == (1, h, w)
     assert np.array_equal(banded, forward(m, trunk, tape=[]))
+
+
+def _record_tail_bands(monkeypatch):
+    """Record the first output row of each band the streamed tail runs, one
+    list per forward."""
+    runs, bands = [], M.tconv2d_bands
+
+    def recorded(*args):
+        runs.append([])
+        for r0, band in bands(*args):
+            runs[-1].append(r0)
+            yield r0, band
+
+    monkeypatch.setattr(M, "tconv2d_bands", recorded)
+    return runs
+
+
+def test_streamed_decoder_tail_in_several_bands_matches_the_taped_forward(small_model,
+                                                                         monkeypatch):
+    # at 64x124, dec.b8.t5x5's phase rows are 64 columns wide, so only the
+    # output's 248-column rows hold its cuts to every 16th output row: cut
+    # anywhere else, dec.b9.t1x1's GEMM over a band differs in the last bit
+    m = small_model
+    frame = np.random.default_rng(71).uniform(0, 255, (3, 64, 124)).astype(np.float32)
+    trunk = M.frozen_trunk(m, build_pyramid(frame))
+    taped = forward(m, trunk, tape=[])
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1 << 16)
+    tail = _record_tail_bands(monkeypatch)
+    streamed = forward(m, trunk)
+    assert tail == [[0, 16, 32, 48]]
+    assert np.array_equal(streamed, taped)
+    assert np.array_equal(streamed, forward(m, trunk, tape=[]))
 
 
 @pytest.mark.parametrize("tape", [None, []])
@@ -415,6 +457,24 @@ def test_non_finite_first_decoder_layer_names_it_on_both_paths(small_model, tape
     layers["dec.b5.t1x1a"].weights.flat[7] = np.nan
     image = np.random.default_rng(0).uniform(0, 255, (3, 16, 16)).astype(np.float32)
     message = "dec.b5.t1x1a on a 1536x4x4 input: tconv2d: non-finite values in result"
+    with pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$"), \
+            np.errstate(invalid="ignore"):
+        forward(ModelParams(layers, small_model.dtype), build_pyramid(image), tape=tape)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("dec.b8.t5x5", "dec.b8.t5x5 on a 128x8x8 input"),
+    ("dec.b9.t1x1", "dec.b9.t1x1 on a 64x16x16 input"),
+])
+@pytest.mark.parametrize("tape", [None, []])
+def test_non_finite_decoder_tail_names_its_layer_on_both_paths(small_model, name,
+                                                               message, tape):
+    layers = {n: LayerParams(p.name, p.weights, p.bias, p.trainable, p.l2)
+              for n, p in small_model.layers.items()}
+    layers[name].weights = layers[name].weights.copy()
+    layers[name].weights.flat[7] = np.nan
+    image = np.random.default_rng(0).uniform(0, 255, (3, 16, 16)).astype(np.float32)
+    message += ": tconv2d: non-finite values in result"
     with pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$"), \
             np.errstate(invalid="ignore"):
         forward(ModelParams(layers, small_model.dtype), build_pyramid(image), tape=tape)
@@ -551,6 +611,47 @@ def test_load_weights_peak_memory_is_the_file_size(tmp_path):
     p = tmp_path / "w.fgsn"
     save_weights(build_model(seed=4), p)
     assert numpy_peak(lambda: load_weights(p)) < 1.2 * p.stat().st_size
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_glorot_matches_the_whole_array_draw(dtype):
+    shape = (3, 5, 7, 1000)  # 105,000 values: three whole chunks and a part
+    assert 3 * kernels.CHUNK < np.prod(shape) < 4 * kernels.CHUNK
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    got = M._glorot(a, shape, 90, 30, dtype)
+    want = b.uniform(-np.sqrt(0.05), np.sqrt(0.05), size=shape).astype(dtype)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_build_and_save_match_whole_array_draws_and_bytes(tmp_path):
+    # the container written from each tensor's own buffer, of weights drawn
+    # in chunks, has the bytes of whole-array draws written with tobytes
+    rng = np.random.default_rng(9)
+    parts = [b"FGSN", struct.pack("<II", 1, 2 * len(ALL_DEFS))]
+    for d in ALL_DEFS:
+        bound = np.sqrt(6.0 / ((d.in_ch + d.out_ch) * d.kernel ** 2))
+        w = rng.uniform(-bound, bound, size=M._weight_shape(d)).astype(np.float32)
+        for key, arr, l2 in ((f"{d.name}.weight", w, d.l2),
+                             (f"{d.name}.bias", np.zeros(d.out_ch, np.float32), 0.0)):
+            parts += [struct.pack("<H", len(key)), key.encode(),
+                      struct.pack("<BB", 0, arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape),
+                      struct.pack("<Bf", not d.frozen, l2), arr.tobytes()]
+    p = tmp_path / "w.fgsn"
+    save_weights(build_model(seed=9), p)
+    assert p.read_bytes() == b"".join(parts)
+
+
+def test_build_and_save_peak_memory(tmp_path):
+    # weights are drawn kernels.CHUNK values at a time straight into their
+    # dtype, and each tensor is written from its own buffer: a float64 draw
+    # of every tensor, and a bytes copy of each, took 2x and 1x the largest
+    # tensor more
+    net = build_model(seed=4)
+    own = sum(p.weights.nbytes + p.bias.nbytes for p in net.layers.values())
+    assert numpy_peak(lambda: build_model(seed=4)) < own + 1e6
+    assert numpy_peak(lambda: save_weights(net, tmp_path / "w.fgsn")) < 1e6
 
 
 def test_container_float64_roundtrip(tmp_path):
