@@ -188,8 +188,12 @@ def validate(cfg):
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
         weights = Path(cfg.weights_out)   # not with_suffix, which raises on "."
         cfg.out = cfg.out or str(weights.parent / f"{weights.stem}.history.csv")
-        if Path(cfg.out).resolve() == weights.resolve():
+        out, weights = Path(cfg.out).resolve(), weights.resolve()
+        if out == weights:
             raise ValueError(f"--out and --weights-out both name {cfg.out}")
+        if out.is_relative_to(weights) or weights.is_relative_to(out):
+            raise ValueError(f"--out {cfg.out} and --weights-out {cfg.weights_out}: "
+                             f"one lies below the other")
     elif cfg.command == "segment":
         _require(cfg, "weights_in", "out")
         check_threshold(cfg.threshold)
@@ -199,16 +203,20 @@ def validate(cfg):
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
-    for name in {"train": ("weights_out", "out"), "evaluate": ("out",),
-                 "sweep": ("out",)}.get(cfg.command, ()):
+    wants_dir = cfg.command in ("segment", "synth")   # the others write files
+    for name in {"train": ("weights_out", "out"), "evaluate": ("out",), "sweep": ("out",),
+                 "segment": ("out", "probs"), "synth": ("out",)}.get(cfg.command, ()):
         if not (path := getattr(cfg, name)):
+            if path == "" and wants_dir:   # Path("") is the working directory
+                raise ValueError(f"--{name} is empty")
             continue
-        if Path(path).is_dir():
-            raise ValueError(f"--{name.replace('_', '-')} {path} is a directory")
+        flag = f"--{name.replace('_', '-')} {path}"
+        if Path(path).exists() and Path(path).is_dir() != wants_dir:
+            raise ValueError(f"{flag} is {'not ' if wants_dir else ''}a directory")
         # a file there leaves no way to make the directories below it
         ancestor = next(p for p in Path(path).parents if p.exists())
         if not ancestor.is_dir():
-            raise ValueError(f"--{name.replace('_', '-')} {path}: {ancestor} is not a directory")
+            raise ValueError(f"{flag}: {ancestor} is not a directory")
     if cfg.command == "synth" or getattr(cfg, "synthetic", False):
         given = dict(width=cfg.width, height=cfg.height, n_frames=cfg.frames,
                      n_objects=cfg.objects, seed=cfg.seed)

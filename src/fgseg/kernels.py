@@ -4,9 +4,9 @@ No function writes its inputs, except into an ``out=`` array the caller
 passes.  A forward pass returns ``(output, ctx)`` where ``ctx`` carries
 whatever the matching backward pass needs, and no more:
 
-- conv2d and tconv2d: ``(input, weights, spec)``; backward zero-pads the
-  input (conv2d) or the output gradient (tconv2d) one band of rows at a
-  time and rebuilds that band's patch columns;
+- conv2d and tconv2d: ``conv_ctx``, ``(input, weights, spec)``; backward
+  zero-pads the input (conv2d) or the output gradient (tconv2d) one band of
+  rows at a time and rebuilds that band's patch columns;
 - maxpool2x2: the input; backward finds each window's argmax;
 - conv2d_relu_pool, conv2d then ReLU then maxpool2x2 for layers that never
   train: no ctx, only the pooled output;
@@ -219,6 +219,11 @@ def _check_conv(op, x, w, b, spec, channels):
         raise ShapeError(f"{op}: bias shaped {b.shape}, expected ({spec.out_channels},)")
 
 
+def conv_ctx(x, w, spec):
+    """conv2d's and tconv2d's ctx, which their backward passes unpack."""
+    return x, w, spec
+
+
 def conv2d_forward(x, w, b, spec: ConvSpec):
     """Cross-correlation of x (C_in,H,W) with w (C_out,C_in,kh,kw) plus bias,
     one band of output rows at a time: each band's GEMM writes straight into
@@ -233,7 +238,7 @@ def conv2d_forward(x, w, b, spec: ConvSpec):
         np.matmul(w2, cols, out=band)
         band += b[:, None]
         ensure_finite(band, "conv2d")
-    return y.reshape(spec.out_channels, ho, wo), (x, w, spec)
+    return y.reshape(spec.out_channels, ho, wo), conv_ctx(x, w, spec)
 
 
 def conv2d_relu_pool(x, w, b, spec: ConvSpec):
@@ -329,7 +334,7 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
         for _ in tconv2d_bands(x, w, b, spec, y):
             pass
     ensure_finite(y, "tconv2d")
-    return y, (x, w, spec)
+    return y, conv_ctx(x, w, spec)
 
 
 def tconv2d_bands(x, w, b, spec: ConvSpec, y=None):

@@ -33,6 +33,7 @@ from .kernels import (
     conv2d_backward_shared,
     conv2d_forward,
     conv2d_relu_pool,
+    conv_ctx,
     dropout,
     dropout_backward,
     ensure_finite,
@@ -163,9 +164,7 @@ def build_model(encoder_weights=None, seed=0, dtype=np.float32) -> ModelParams:
         fan_in = d.in_ch * d.kernel * d.kernel
         fan_out = d.out_ch * d.kernel * d.kernel
         if pretrained is not None and d.name in pretrained:
-            w, b = pretrained[d.name]
-            w = w.astype(dtype, copy=False)
-            b = b.astype(dtype, copy=False)
+            w, b = (a.astype(dtype, copy=False) for a in pretrained[d.name])
         else:
             w = _glorot(rng, shape, fan_in, fan_out, dtype)
             b = np.zeros(d.out_ch, dtype=dtype)
@@ -197,10 +196,11 @@ def layer_table(model: ModelParams):
 # ------------------------------------------------------------------ forward
 #
 # The tape is a flat list of (kind, name, ctx) entries, one group per
-# trainable layer (frozen ones need no backward): the named conv/tconv, the
-# activation, then dropout when the LayerDef has it; encoder scales 0, 1
-# and 2, then the decoder.  backward() slices it by the defs.  A ReLU
-# followed by dropout records dropout's output as its ctx.
+# trainable layer (frozen ones need no backward), each written by _record:
+# the named conv/tconv, the activation, then dropout when the LayerDef has
+# it; encoder scales 0, 1 and 2, then the decoder.  backward() slices it by
+# the defs.  The decoder's first and last two layers run in bands whose
+# 64-column cuts keep each output bit-identical to tconv2d_forward's.
 
 _N_SCALES = DECODER_DEFS[0].in_ch // ENCODER_DEFS[-1].out_ch
 _FIRST_TRAINABLE = next(d for d in ALL_DEFS if not d.frozen)
@@ -221,28 +221,30 @@ def _activation(d: LayerDef):
     return "sigmoid" if d == DECODER_DEFS[-1] else "relu"
 
 
+def _record(tape, d: LayerDef, x, w, y, dctx=None):
+    """Layer d's entries on the tape, if any: its conv or tconv on x with weights
+    w, its activation's output y, then dropout's dctx.  y may be dropout's output:
+    > 0 exactly where it keeps a ReLU's > 0, and its backward zeroes the rest."""
+    if tape is not None:
+        act = _activation(d)
+        tape.append((d.kind, d.name, conv_ctx(x, w, d.spec())))
+        tape.append((act, None, (act, y)))
+        if d.dropout_after:
+            tape.append(("dropout", None, dctx))
+
+
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
-    record = (lambda entry: None) if tape is None else tape.append
     p = model[d.name]
     try:
         if d.pool_after:  # frozen (LayerDef's rule), so there is nothing to record
             return conv2d_relu_pool(x, p.weights, p.bias, d.spec())
         op = conv2d_forward if d.kind == "conv" else tconv2d_forward
-        out, ctx = op(x, p.weights, p.bias, d.spec())
+        out, _ = op(x, p.weights, p.bias, d.spec())
     except NonFiniteError as e:
         raise _layer_error(d, x.shape, e) from e
-    record((d.kind, d.name, ctx))
-    act = _activation(d)
-    out, actx = pointwise_activation(out, act, out=out)  # the layer's own fresh output
-    if not d.dropout_after:
-        record((act, None, actx))
-        return out
-    out, dctx = dropout(out, DROPOUT_RATE, training, rng)
-    # dropout's output is > 0 exactly where it keeps a ReLU output > 0, and
-    # dropout's backward zeroes the rest, so the ReLU's test reads it: the
-    # next layer's input, which that layer's ctx holds anyway
-    record((act, None, (act, out)))
-    record(("dropout", None, dctx))
+    pointwise_activation(out, _activation(d), out=out)  # the layer's own fresh output
+    out, dctx = dropout(out, DROPOUT_RATE, training, rng) if d.dropout_after else (out, None)
+    _record(tape, d, x, p.weights, out, dctx)
     return out
 
 
@@ -288,18 +290,14 @@ def forward(model: ModelParams, pyr, training=False, rng=None, tape=None):
     h, w = pyr.i0.shape[-2:] if isinstance(pyr, PyramidTriple) else pyr.extents
     # only the callee holds each layer's input (its output, without a tape),
     # so, unless the tape records it, it is freed once the next layer starts
-    if tape is None:
-        out = _decoder_tail(model, _run_layers(
-            model, DECODER_DEFS[1:-2],
-            _first_decoder_layer(model, _features(model, pyr, training, rng))))
-    else:
-        out = _run_layers(model, DECODER_DEFS,
-                          _decoder_input(_features(model, pyr, training, rng, tape)),
-                          training, rng, tape)
+    out = _decoder_tail(model, _run_layers(
+        model, DECODER_DEFS[1:-2],
+        _first_decoder_layer(model, _features(model, pyr, training, rng, tape), tape),
+        tape=tape), tape)
     return out[:, :h, :w]
 
 
-def _features(model, pyr, training, rng, tape=None):
+def _features(model, pyr, training, rng, tape):
     """The encoder's output at each scale."""
     if isinstance(pyr, PyramidTriple):
         return [encode_scale(model, image, training, rng, tape)
@@ -308,24 +306,8 @@ def _features(model, pyr, training, rng, tape=None):
             for x in pyr.scales]
 
 
-def _upsampled_rows(feats, out, row):
-    """Rows row.. of the decoder input, as many as out holds: each scale's
-    features upsampled straight into its channels of out."""
-    c = feats[0].shape[0]
-    for s, f in enumerate(feats):
-        upsample_nearest(f, 2 ** s, out=out[s * c:(s + 1) * c], row=row)
-    return out
-
-
-def _decoder_input(feats):
-    """The scales' features on the finest feature grid, depth-concatenated."""
-    c, th, tw = feats[0].shape
-    return _upsampled_rows(feats, np.empty((len(feats) * c, th, tw), feats[0].dtype), 0)
-
-
 def _check_band(d, shape, band):
-    """ensure_finite on a band of layer d's output, named as _run_layer
-    names the whole layer on its input's shape."""
+    """ensure_finite on a band of layer d's output, named as _run_layer names d."""
     try:
         ensure_finite(band, "tconv2d")
     except NonFiniteError as e:
@@ -333,9 +315,8 @@ def _check_band(d, shape, band):
 
 
 def _pointwise_band(model, d, x, out, shape):
-    """Layer d, a 1x1 tconv, and its activation on x, columns (in_ch, n) of
-    its input shaped shape, into out (out_ch, n): the same GEMM, bias and
-    activation as _run_layer's, on a band."""
+    """Layer d, a 1x1 tconv, and its activation as _run_layer runs them, on
+    columns x (in_ch, n) of its input shaped shape, into out (out_ch, n)."""
     p = model[d.name]
     np.matmul(p.weights.reshape(d.in_ch, d.out_ch).T, x, out=out)
     out += p.bias[:, None]
@@ -343,42 +324,47 @@ def _pointwise_band(model, d, x, out, shape):
     pointwise_activation(out, _activation(d), out=out)
 
 
-def _first_decoder_layer(model, feats):
-    """The first decoder layer (a 1x1 tconv) and its ReLU on
-    _decoder_input(feats) without a tape, one band of the feature grid at a
-    time: each band's rows of that input are upsampled into one reused
-    buffer and its GEMM writes its columns of the output, so the input never
-    exists whole.  The bands' 64-column cuts keep the output bit-identical
-    to tconv2d_forward's."""
+def _first_decoder_layer(model, feats, tape):
+    """The first decoder layer (a 1x1 tconv) and its ReLU on the scales'
+    features, upsampled to the finest feature grid and depth-concatenated
+    into one reused buffer one band of that grid at a time.  With a tape it
+    runs as one band, whose buffer is the whole input that the tape keeps."""
     d = DECODER_DEFS[0]
-    th, tw = feats[0].shape[1:]
-    bands = _plan_bands([(th, tw)], d.in_ch * feats[0].itemsize)
+    c, th, tw = feats[0].shape
+    bands = (_plan_bands([(th, tw)], d.in_ch * feats[0].itemsize) if tape is None
+             else [[(0, 0, th, tw)]])
     buf = np.empty(d.in_ch * bands[0][0][2] * tw, feats[0].dtype)
-    y = np.empty((d.out_ch, th * tw), dtype=np.result_type(feats[0], model.dtype))
+    y = np.empty((d.out_ch, th, tw), dtype=np.result_type(feats[0], model.dtype))
     for [(_, r0, nr, _)] in bands:
-        x = _upsampled_rows(feats, buf[:d.in_ch * nr * tw].reshape(d.in_ch, nr, tw), r0)
-        _pointwise_band(model, d, x.reshape(d.in_ch, -1), y[:, r0 * tw:(r0 + nr) * tw],
-                        (d.in_ch, th, tw))
-    return y.reshape(d.out_ch, th, tw)
+        x = buf[:d.in_ch * nr * tw].reshape(d.in_ch, nr, tw)
+        for s, f in enumerate(feats):
+            upsample_nearest(f, 2 ** s, out=x[s * c:(s + 1) * c], row=r0)
+        _pointwise_band(model, d, x.reshape(d.in_ch, -1),
+                        y.reshape(d.out_ch, -1)[:, r0 * tw:(r0 + nr) * tw], (d.in_ch, th, tw))
+    _record(tape, d, x, model[d.name].weights, y)
+    return y
 
 
-def _decoder_tail(model, x):
+def _decoder_tail(model, x, tape):
     """The last two decoder layers, a 5x5 upscaling tconv and a 1x1 one,
-    with their ReLU and sigmoid on x without a tape, one band of the first's
-    output rows at a time (tconv2d_bands'): each band is checked, rectified
-    and run through the 1x1 layer into its rows of the output, so the
-    full-resolution 64-channel map never exists whole.  The bands'
-    64-column cuts keep the output bit-identical to tconv2d_forward's."""
+    with their ReLU and sigmoid on x, one band of the first's output rows at
+    a time (tconv2d_bands').  Only with a tape is each rectified band also
+    copied into one full-resolution map, the 1x1 layer's input, to keep."""
     up, last = DECODER_DEFS[-2:]
     p = model[up.name]
     ho, wo = up.spec().tconv_out_hw(*x.shape[1:])
     y = np.empty((last.out_ch, ho, wo), dtype=np.result_type(x, model.dtype))
+    kept = None if tape is None else np.empty((up.out_ch, ho, wo), y.dtype)
     for r0, band in tconv2d_bands(x, p.weights, p.bias, up.spec()):
         _check_band(up, x.shape, band)
         pointwise_activation(band, "relu", out=band)
         nr = band.shape[1]
+        if kept is not None:
+            kept[:, r0:r0 + nr] = band
         _pointwise_band(model, last, band.reshape(up.out_ch, -1),
                         y[:, r0:r0 + nr].reshape(last.out_ch, -1), (up.out_ch, ho, wo))
+    _record(tape, up, x, p.weights, kept)
+    _record(tape, last, kept, model[last.name].weights, y)
     return y
 
 

@@ -279,6 +279,44 @@ def test_unwritable_train_outputs_fail_before_epoch_one(tmp_path, monkeypatch, c
     assert (tmp_path / "wt" / "afile").read_bytes() == b"x"
 
 
+@pytest.mark.parametrize("weights,out", [
+    ("a/w.fgw", "a/w.fgw/h.csv"),   # the history below the weights
+    ("b/h.csv/w.fgw", "b/h.csv"),   # the weights below the history
+])
+def test_nested_train_outputs_fail_before_epoch_one(tmp_path, monkeypatch, capsys,
+                                                    weights, out):
+    # unchecked, each ran every epoch and then failed to save: one path
+    # needs a directory where the other is written as a file
+    monkeypatch.chdir(tmp_path)
+    assert run("train", *TINY, "--epochs", 1, "--weights-out", weights, "--out", out) == 2
+    stdout, err = capsys.readouterr()
+    assert err == (f"fgseg train: --out {out} and --weights-out {weights}: "
+                   f"one lies below the other\n")
+    assert "train:" not in stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("segment", ("--out", "f"), "--out f is not a directory"),
+    ("segment", ("--out", "m", "--probs", "f/p"), "--probs f/p: f is not a directory"),
+    ("synth", ("--out", "f"), "--out f is not a directory"),
+    ("synth", ("--out", "f/scene"), "--out f/scene: f is not a directory"),
+    ("segment", ("--out", ""), "--out is empty"),   # Path("") is the working directory
+    ("synth", ("--out", ""), "--out is empty"),
+])
+def test_directory_outputs_fail_before_any_work(tmp_path, monkeypatch, capsys,
+                                                command, flags, message):
+    # unchecked, each file case failed at run time, segment after making its
+    # --out, and each empty one wrote into the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_bytes(b"x")
+    source = ("--synthetic", "--weights-in", "w.fgw") if command == "segment" else ()
+    assert run(command, *source, *flags) == 2
+    assert capsys.readouterr().err == f"fgseg {command}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert (tmp_path / "f").read_bytes() == b"x"
+
+
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2

@@ -399,9 +399,10 @@ def test_forward_pads_and_crops_unaligned_frames(dtype):
 ])
 def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, monkeypatch,
                                                              h, w, band_rows):
-    # without a tape, dec.b5.t1x1a runs band by band on rows of the decoder
-    # input upsampled from each scale, and dec.b8.t5x5 with dec.b9.t1x1 on
-    # bands of output rows; with one, each layer on its whole input
+    # dec.b5.t1x1a runs band by band on rows of the decoder input upsampled
+    # from each scale, and dec.b8.t5x5 with dec.b9.t1x1 on bands of output
+    # rows, with or without a tape; a tape only keeps what they make, and
+    # runs dec.b5.t1x1a as one band, whose buffer is its whole input
     m = small_model
     grid = (-(-h // 4), -(-w // 4))
     bands = kernels._plan_bands([grid], 1536 * 4)
@@ -447,6 +448,47 @@ def test_streamed_decoder_tail_in_several_bands_matches_the_taped_forward(small_
     assert tail == [[0, 16, 32, 48]]
     assert np.array_equal(streamed, taped)
     assert np.array_equal(streamed, forward(m, trunk, tape=[]))
+
+
+def test_taped_forward_streams_the_decoder_tail(small_model, monkeypatch):
+    # a tape changes only what the streamed tail keeps: the same bands run,
+    # and each rectified band is copied into one map, which the tape holds
+    # as both dec.b8.t5x5's ReLU output and dec.b9.t1x1's input
+    m = small_model
+    frame = np.random.default_rng(71).uniform(0, 255, (3, 64, 124)).astype(np.float32)
+    trunk = M.frozen_trunk(m, build_pyramid(frame))
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1 << 16)
+    tail = _record_tail_bands(monkeypatch)
+    tape = []
+    taped = forward(m, trunk, tape=tape)
+    streamed = forward(m, trunk)
+    assert tail == [[0, 16, 32, 48]] * 2
+    i = next(i for i, e in enumerate(tape) if e[1] == "dec.b8.t5x5")
+    (_, _, (x, w, spec)), (relu, _, (_, kept)), (_, name, (x9, _, _)) = tape[i:i + 3]
+    assert (relu, name) == ("relu", "dec.b9.t1x1")
+    assert kept is x9 and kept.shape == (64, 64, 124)
+    whole, _ = kernels.tconv2d_forward(x, w, m["dec.b8.t5x5"].bias, spec)
+    assert np.array_equal(kept, np.maximum(whole, 0))
+    assert np.array_equal(taped, streamed)
+
+
+@pytest.mark.parametrize("h,w,budget", [(58, 62, None), (64, 124, 1 << 16), (240, 320, None)])
+def test_streamed_decoder_is_bit_identical_to_whole_layers(small_model, monkeypatch,
+                                                           h, w, budget):
+    # the plain path: the scales' features upsampled and concatenated whole,
+    # then every decoder layer through tconv2d_forward on its whole input
+    if budget:
+        monkeypatch.setattr(kernels, "_BAND_BYTES", budget)
+    m = small_model
+    frame = np.random.default_rng(73).uniform(0, 255, (3, h, w)).astype(np.float32)
+    trunk = M.frozen_trunk(m, build_pyramid(frame))
+    feats = M._features(m, trunk, False, None, None)
+    th, tw = feats[0].shape[1:]
+    x = kernels.concat_depth([kernels.upsample_nearest(f, 2 ** s)[:, :th, :tw]
+                              for s, f in enumerate(feats)])
+    whole = M._run_layers(m, M.DECODER_DEFS, x)[:, :h, :w]
+    assert np.array_equal(forward(m, trunk), whole)
+    assert np.array_equal(forward(m, trunk, tape=[]), whole)
 
 
 @pytest.mark.parametrize("tape", [None, []])
