@@ -91,7 +91,7 @@ def _build_parser(training):
     ]
     add("train", "fit a model to one sequence", *source,
         (("--manifest",), dict(help="file of 0-based frame indices, one per line")),
-        (("--frames",), dict(type=int, help="training frame count")),
+        (("--frames",), dict(type=int, help="training frame count (not with --manifest)")),
         (("--epochs",), dict(type=int)),
         (("--lr",), dict(type=float)),
         (("--weights-in",), dict(dest="weights_in",
@@ -99,7 +99,7 @@ def _build_parser(training):
         (("--weights-out",), dict(dest="weights_out")),
         (("--out",), dict(help="history CSV path (default: alongside weights)")),
         (("--precision",), dict(choices=tuple(PRECISIONS), default="f32")),
-        frames=train.n_frames, lr=train.lr, seed=train.seed)
+        lr=train.lr, seed=train.seed)
     add("segment", "write binary masks for every frame", *source,
         (("--frames",), dict(type=int, help="synthetic frame count")),
         (("--weights-in",), dict(dest="weights_in")),
@@ -185,6 +185,10 @@ def validate(cfg):
         _require(cfg, "weights_out")
         if not cfg.weights_out:   # Path("") is ".", which no file can replace
             raise ValueError("--weights-out is empty")
+        if cfg.manifest and cfg.frames is not None:
+            raise ValueError("--frames and --manifest are mutually exclusive")
+        if cfg.frames is None:   # a synthetic scene's length under --manifest
+            cfg.frames = TrainConfig.n_frames
         TrainConfig(n_frames=cfg.frames, epochs=cfg.epochs, lr=cfg.lr)
         weights = Path(cfg.weights_out)   # not with_suffix, which raises on "."
         cfg.out = cfg.out or str(weights.parent / f"{weights.stem}.history.csv")
@@ -213,10 +217,14 @@ def validate(cfg):
         flag = f"--{name.replace('_', '-')} {path}"
         if Path(path).exists() and Path(path).is_dir() != wants_dir:
             raise ValueError(f"{flag} is {'not ' if wants_dir else ''}a directory")
-        # a file there leaves no way to make the directories below it
-        ancestor = next(p for p in Path(path).parents if p.exists())
+        # the directory written in, or the nearest existing one that the
+        # missing ones are made in; a file there leaves no way to make them
+        ancestor = next(p for p in [Path(path)] * wants_dir + [*Path(path).parents]
+                        if p.exists())
         if not ancestor.is_dir():
             raise ValueError(f"{flag}: {ancestor} is not a directory")
+        if not os.access(ancestor, os.W_OK | os.X_OK):
+            raise ValueError(f"{flag}: no permission to write in {ancestor}")
     if cfg.command == "synth" or getattr(cfg, "synthetic", False):
         given = dict(width=cfg.width, height=cfg.height, n_frames=cfg.frames,
                      n_objects=cfg.objects, seed=cfg.seed)
@@ -237,25 +245,42 @@ def _frame_number(path, index):
     return int(digits[-1]) if digits else index + 1
 
 
+def _frame_file(directory, kind, number):
+    """The file segment writes for frame number: kind "bin" for its mask,
+    "prob" for its probability map."""
+    return Path(directory) / f"{kind}{number:06d}.pgm"
+
+
+def _scored_files(data, root, directory, kind, what):
+    """The sequence at root, and (index, file) for each frame of its
+    temporal ROI, the file being what segment wrote for that frame under
+    directory; fails naming the first file missing."""
+    handle = data.load_sequence(root)
+    wanted = [(i, _frame_file(directory, kind, _frame_number(handle.frame_paths[i], i)))
+              for i in range(*data.temporal_range(handle))]
+    missing = [p for _, p in wanted if not p.exists()]
+    if missing:
+        raise ValueError(f"{root}: {len(wanted)} ground-truth frames but "
+                         f"{len(wanted) - len(missing)} {what} under {directory} "
+                         f"(first missing: {missing[0].name})")
+    return handle, wanted
+
+
 # ------------------------------------------------------------------ commands
 
 def _training_examples(cfg, data, training):
-    manifest = training.read_manifest(cfg.manifest) if cfg.manifest else None
+    handle = None if cfg.synthetic else data.load_sequence(cfg.data)
+    total = cfg.scene.n_frames if cfg.synthetic else len(handle)
+    start, stop = (0, total) if cfg.synthetic else data.temporal_range(handle)
+    if cfg.manifest:   # indices over the whole sequence, not its temporal ROI
+        indices = training.read_manifest(cfg.manifest, total)
+    else:
+        indices = [start + i for i in training.select_frames(stop - start, cfg.frames, cfg.seed)]
     if cfg.synthetic:
-        indices = training.select_frames(cfg.scene.n_frames, cfg.frames, cfg.seed,
-                                         focus_list=manifest)
         # the scene is drawn in order, and only the chosen frames are kept
         chosen = {i: pair for i, pair in enumerate(data.synth_frames(cfg.scene))
                   if i in indices}
         return training.examples_from_pairs(chosen, indices)
-    handle = data.load_sequence(cfg.data)
-    start, stop = data.temporal_range(handle)
-    if manifest:
-        indices = training.select_frames(len(handle), len(manifest), cfg.seed,
-                                         focus_list=manifest)
-    else:
-        indices = [start + i for i in
-                   training.select_frames(stop - start, cfg.frames, cfg.seed)]
     return [training.TrainingExample(data.read_frame(handle, i),
                                      data.read_labels(handle, i), i)
             for i in indices]
@@ -277,11 +302,8 @@ def cmd_train(cfg, data, model, training):
               f"val={state.val_loss[-1]:.6f} lr={_fmt(state.lr[-1])}")
 
     net, state = training.train(tc, examples, net, progress=report)
-    weights_path = Path(cfg.weights_out)
-    weights_path.parent.mkdir(parents=True, exist_ok=True)
+    weights_path, history_path = Path(cfg.weights_out), Path(cfg.out)
     model.save_weights(net, weights_path)
-    history_path = Path(cfg.out)
-    history_path.parent.mkdir(parents=True, exist_ok=True)
     with data.atomic_write(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "train_loss", "val_loss", "lr", "checkpoint"))
@@ -310,21 +332,15 @@ def _segment_inputs(cfg, data):
 def cmd_segment(cfg, data, model, pyramid):
     import numpy as np
     net = model.load_weights(cfg.weights_in)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    probs_dir = None
-    if cfg.probs:
-        probs_dir = Path(cfg.probs)
-        probs_dir.mkdir(parents=True, exist_ok=True)
     seconds = []
     for number, frame in _segment_inputs(cfg, data):
         start = time.perf_counter()
         probs = model.forward(net, pyramid.build_pyramid(frame))
-        data.write_mask(probs, cfg.threshold, out_dir / f"bin{number:06d}.pgm")
-        if probs_dir is not None:
-            data.write_prob_map(probs, probs_dir / f"prob{number:06d}.pgm")
+        data.write_mask(probs, cfg.threshold, _frame_file(cfg.out, "bin", number))
+        if cfg.probs:
+            data.write_prob_map(probs, _frame_file(cfg.probs, "prob", number))
         seconds.append(time.perf_counter() - start)
-    print(f"segment: wrote {len(seconds)} masks to {out_dir} (threshold {_fmt(cfg.threshold)})")
+    print(f"segment: wrote {len(seconds)} masks to {Path(cfg.out)} (threshold {_fmt(cfg.threshold)})")
     p50, p95 = np.percentile(seconds, [50, 95]) * 1e3
     print(f"segment: {len(seconds)} frames, {len(seconds) / sum(seconds):.3f} frames/s, "
           f"latency p50 {p50:.1f} ms p95 {p95:.1f} ms")
@@ -340,22 +356,13 @@ def _report(cfg, rows, data, metrics, *lines):
     for line in lines:
         print(line)
     if cfg.out:
-        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         with data.atomic_write(cfg.out, "w", newline="") as fh:
             metrics.emit_csv(rows, fh)
         print(f"wrote {cfg.out}")
 
 
 def _score_video(video_root, masks_dir, data, metrics):
-    handle = data.load_sequence(video_root)
-    start, stop = data.temporal_range(handle)
-    wanted = [(i, Path(masks_dir) / f"bin{_frame_number(handle.frame_paths[i], i):06d}.pgm")
-              for i in range(start, stop)]
-    missing = [p for _, p in wanted if not p.exists()]
-    if missing:
-        raise ValueError(f"{video_root}: {len(wanted)} ground-truth frames but "
-                         f"{len(wanted) - len(missing)} masks under {masks_dir} "
-                         f"(first missing: {missing[0].name})")
+    handle, wanted = _scored_files(data, video_root, masks_dir, "bin", "masks")
     counts = metrics.ConfusionCounts(0, 0, 0, 0)
     for i, mask_path in wanted:
         counts = counts + metrics.accumulate(data.read_mask(mask_path),
@@ -394,18 +401,11 @@ def cmd_evaluate(cfg, data, metrics):
 
 
 def cmd_sweep(cfg, data, metrics):
-    handle = data.load_sequence(cfg.data)
-    frames = range(*data.temporal_range(handle))
-    paths = [Path(cfg.probs) / f"prob{_frame_number(handle.frame_paths[i], i):06d}.pgm"
-             for i in frames]
-    missing = next((p for p in paths if not p.exists()), None)
-    if missing is not None:
-        raise ValueError(f"{cfg.data}: {len(frames)} ground-truth frames "
-                         f"but no probability map {missing.name} under {cfg.probs}")
+    handle, wanted = _scored_files(data, cfg.data, cfg.probs, "prob", "probability maps")
     thresholds = tuple(round(0.1 * k, 1) for k in range(1, 10))
     # generators, so the sweep reads and counts one frame at a time
-    result = metrics.threshold_sweep((data.read_prob_map(p) for p in paths),
-                                     (data.read_labels(handle, i) for i in frames),
+    result = metrics.threshold_sweep((data.read_prob_map(p) for _, p in wanted),
+                                     (data.read_labels(handle, i) for i, _ in wanted),
                                      thresholds)
     rows = [(f"{t:.1f}", r) for t, r in zip(result.thresholds, result.reports)]
     _report(cfg, rows, data, metrics, f"best threshold: {result.best_threshold:.1f} "

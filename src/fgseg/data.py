@@ -342,8 +342,6 @@ def synth_sequence(config: SynthConfig):
 def write_synth_dataset(config: SynthConfig, root):
     """Materialize a synthetic scene in the standard sequence layout."""
     root = Path(root)
-    (root / "input").mkdir(parents=True, exist_ok=True)
-    (root / "groundtruth").mkdir(parents=True, exist_ok=True)
     for i, (frame, labels) in enumerate(synth_frames(config), start=1):
         rgb = np.rint(frame.transpose(1, 2, 0)).clip(0, 255).astype(np.uint8)
         write_ppm(root / "input" / f"in{i:06d}.ppm", rgb)

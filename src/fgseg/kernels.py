@@ -250,9 +250,8 @@ def conv2d_relu_pool(x, w, b, spec: ConvSpec):
     if ho % 2 or wo % 2:
         raise ShapeError(f"conv2d_relu_pool: output extents must be even, got {ho}x{wo}")
     w2 = w.reshape(spec.out_channels, -1)
-    # planned in row pairs, so every band pools whole windows
-    bands = [[(0, 2 * r0, 2 * nr, wo)] for [(_, r0, nr, _)]
-             in _plan_bands([(ho // 2, 2 * wo)], w2.shape[1] * x.itemsize)]
+    # bands of whole row pairs, so every band pools whole windows
+    bands = _plan_bands([(ho, wo)], w2.shape[1] * x.itemsize, 2)
     columns = _band_columns([x], spec, bands)
     y = np.empty((spec.out_channels, ho // 2, wo // 2), dtype=np.result_type(x, w))
     pre = np.empty((spec.out_channels, bands[0][0][2] * wo), dtype=y.dtype)

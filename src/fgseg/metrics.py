@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import LabelMask, as_map
+from .data import LabelMask, as_map, check_threshold
 
 METRIC_COLUMNS = ("Recall", "Specificity", "FPR", "FNR", "PWC",
                   "Precision", "F-Measure", "MCC")
@@ -114,8 +114,8 @@ def threshold_sweep(prob_maps, label_masks, thresholds) -> SweepResult:
         if b <= a:
             raise ValueError(f"thresholds must be strictly increasing, "
                              f"got {a} then {b}")
-    if thresholds[0] <= 0.0 or thresholds[-1] >= 1.0:
-        raise ValueError(f"thresholds must lie in (0, 1), got {thresholds}")
+    for t in thresholds:
+        check_threshold(t)
     hits = np.zeros((len(thresholds), 2), dtype=np.int64)  # (tp, fp) per t
     n_fg = n_bg = n_maps = n_masks = 0
     masks = iter(label_masks)

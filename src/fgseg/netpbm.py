@@ -92,9 +92,11 @@ def _format_raster(arr, channels, what):
 
 @contextmanager
 def atomic_write(path, mode="wb", **kwargs):
-    """Open a temp file beside path for writing; it replaces path only when
-    the block completes, so an error leaves the old file and no temp file."""
+    """Open a temp file beside path for writing, making path's missing
+    directories first; it replaces path only when the block completes, so
+    an error leaves the old file and no temp file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -83,26 +83,18 @@ class TrainState:    # what crosses an epoch boundary
 
 # ------------------------------------------------------------ frame selection
 
-def select_frames(total, n, seed, focus_list=None):
-    """Pick n of total frame indices: explicit list verbatim, else seeded
-    uniform sampling without replacement."""
-    if focus_list is not None:
-        indices = [int(i) for i in focus_list]
-        dupes = sorted({i for i in indices if indices.count(i) > 1})
-        if dupes:
-            raise ValueError(f"focus list has duplicate frame indices {dupes}")
-        bad = [i for i in indices if not 0 <= i < total]
-        if bad:
-            raise ValueError(f"focus list indices out of range [0, {total}): {bad}")
-        return indices
+def select_frames(total, n, seed):
+    """Pick n of total frame indices by seeded uniform sampling without
+    replacement."""
     if n > total:
         raise ValueError(f"cannot select {n} frames from {total}")
     rng = np.random.default_rng(seed)
     return [int(i) for i in rng.choice(total, size=n, replace=False)]
 
 
-def read_manifest(path):
-    """Manual-selection manifest: one frame index per line, # comments allowed."""
+def read_manifest(path, total):
+    """Manual-selection manifest: one 0-based frame index of total per
+    line, each at most once, # comments allowed; the indices in file order."""
     indices = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -115,6 +107,12 @@ def read_manifest(path):
             indices.append(int(line))
     if not indices:
         raise ValueError(f"{path}: manifest selects no frames")
+    dupes = sorted({i for i in indices if indices.count(i) > 1})
+    if dupes:
+        raise ValueError(f"{path}: duplicate frame indices {dupes}")
+    bad = [i for i in indices if i >= total]
+    if bad:
+        raise ValueError(f"{path}: frame indices out of range [0, {total}): {bad}")
     return indices
 
 

@@ -142,7 +142,7 @@ def test_small_frame_budget_defaults_to_sixty_epochs(tmp_path, capsys):
     manifest = tmp_path / "frames.txt"
     manifest.write_text("0\n1\n2\n3\n4\n")
     weights = tmp_path / "m.fgsn"
-    assert run("train", *TINY, "--width", "12", "--height", "12",
+    assert run("train", *TINY[:-2], "--width", "12", "--height", "12",
                "--manifest", manifest, "--weights-out", weights) == 0
     out = capsys.readouterr().out
     assert "epochs=60" in out
@@ -154,11 +154,43 @@ def test_manifest_with_repeated_index_fails_before_training(tmp_path, capsys):
     manifest = tmp_path / "frames.txt"
     manifest.write_text("0\n1\n2\n3\n3\n")
     weights = tmp_path / "m.fgsn"
-    assert run("train", *TINY, "--manifest", manifest, "--weights-out", weights) == 1
+    assert run("train", *TINY[:-2], "--manifest", manifest, "--weights-out", weights) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "duplicate" in err and "[3]" in err
+    assert err == f"fgseg train: {manifest}: duplicate frame indices [3]\n"
     assert not weights.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_frames_with_manifest_fail_before_any_work(tmp_path, capsys, where):
+    # --manifest picks the frames, so --frames did nothing but was still
+    # checked: 3 failed as too few, 40 trained on the manifest's 6 frames
+    manifest = tmp_path / "frames.txt"
+    manifest.write_text("0\n1\n2\n3\n4\n5\n")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("frames=40\n")
+    frames = ("--frames", 40) if where == "flag" else ("--config", cfgfile)
+    assert run("train", *TINY[:-2], *frames, "--manifest", manifest,
+               "--weights-out", tmp_path / "w.fgsn") == 2
+    assert capsys.readouterr() == ("", "fgseg train: --frames and --manifest are "
+                                       "mutually exclusive\n")
+    assert sorted(tmp_path.iterdir()) == [manifest, cfgfile]
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_train_frames_default_is_train_configs(tmp_path, monkeypatch, manifest):
+    # with no --frames, a synthetic scene is TrainConfig's frame count long
+    from fgseg.training import TrainConfig
+    seen = []
+
+    def stop(config):
+        seen.append(config.n_frames)
+        raise ValueError("stop before training")
+
+    monkeypatch.setattr(data, "synth_frames", stop)
+    (tmp_path / "m.txt").write_text("0\n1\n2\n3\n4\n")
+    flags = ("--manifest", tmp_path / "m.txt") if manifest else ()
+    assert run("train", *TINY[:-2], *flags, "--weights-out", tmp_path / "w.fgsn") == 1
+    assert seen == [TrainConfig().n_frames] == [50]
 
 
 def test_all_void_frame_fails_before_training(tmp_path, capsys):
@@ -277,6 +309,35 @@ def test_unwritable_train_outputs_fail_before_epoch_one(tmp_path, monkeypatch, c
     assert "train:" not in out
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "wt"]
     assert (tmp_path / "wt" / "afile").read_bytes() == b"x"
+
+
+@pytest.mark.parametrize("command,flags,bad,locked", [
+    ("train", ("--weights-out", "ro/w.fgw"), "--weights-out ro/w.fgw", "ro"),
+    ("train", ("--weights-out", "w.fgw", "--out", "ro/new/h.csv"), "--out ro/new/h.csv", "ro"),
+    ("evaluate", ("--data", "s", "--masks", "m", "--out", "ro/x.csv"), "--out ro/x.csv", "ro"),
+    ("sweep", ("--data", "s", "--probs", "p", "--out", "ro/new/x.csv"), "--out ro/new/x.csv", "ro"),
+    ("segment", ("--synthetic", "--weights-in", "w.fgw", "--out", "ro"), "--out ro", "ro"),
+    ("segment", ("--synthetic", "--weights-in", "w.fgw", "--out", "m", "--probs", "ro/new"),
+     "--probs ro/new", "ro"),
+    ("synth", ("--out", "ro/new"), "--out ro/new", "ro"),
+    ("synth", ("--out", "new"), "--out new", "."),
+])
+def test_outputs_in_an_unwritable_directory_fail_before_any_work(
+        tmp_path, monkeypatch, capsys, command, flags, bad, locked):
+    # the directory written in, or the nearest existing one, must be
+    # writable and searchable; unchecked, train failed to save only after
+    # every epoch.  Root passes every mode check, so os.access is stubbed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ro").mkdir()
+    access, denied = os.access, (tmp_path / locked).resolve()
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        Path(path).resolve() != denied and access(path, mode)))
+    source = (*TINY, "--epochs", 1) if command == "train" else ()
+    assert run(command, *source, *flags) == 2
+    assert capsys.readouterr() == ("", f"fgseg {command}: {bad}: no permission to "
+                                       f"write in {locked}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["ro"]
+    assert list((tmp_path / "ro").iterdir()) == []
 
 
 @pytest.mark.parametrize("weights,out", [
@@ -565,7 +626,9 @@ def test_sweep_reports_missing_probability_maps(tmp_path, capsys):
                "--height", 16) == 0
     (tmp_path / "probs").mkdir()
     assert run("sweep", "--data", scene, "--probs", tmp_path / "probs") == 1
-    assert "no probability map" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"fgseg sweep: {scene}: 3 ground-truth frames but 0 probability maps under "
+        f"{tmp_path / 'probs'} (first missing: prob000001.pgm)\n")
 
 
 # -------------------------------------------------------------- config files

@@ -72,6 +72,19 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
     assert [q.name for q in tmp_path.iterdir()] == ["a.pgm"]
 
 
+def test_atomic_write_makes_the_missing_directories(tmp_path):
+    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    write_pgm(tmp_path / "a" / "b" / "x.pgm", img)
+    assert np.array_equal(read_netpbm(tmp_path / "a" / "b" / "x.pgm"), img)
+    with atomic_write(tmp_path / "a" / "c.txt", "w") as fh:   # an existing one too
+        fh.write("text")
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "c.txt"]
+    (tmp_path / "f").write_bytes(b"x")
+    with pytest.raises(FileExistsError):   # a file where a directory must be
+        write_pgm(tmp_path / "f" / "x.pgm", img)
+    assert (tmp_path / "f").read_bytes() == b"x"
+
+
 def test_netpbm_header_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5 # magic\n# a comment line\n2 # width\n 2\n255\n\x01\x02\x03\x04")

@@ -41,34 +41,42 @@ def test_selection_is_deterministic_under_seed():
     assert all(0 <= i < 300 for i in a)
 
 
-def test_focus_list_is_used_verbatim():
+def test_focus_list_is_used_verbatim(tmp_path):
     focus = [9, 3, 41, 0]
-    assert select_frames(50, 4, seed=0, focus_list=focus) == focus
+    p = tmp_path / "frames.txt"
+    p.write_text("".join(f"{i}\n" for i in focus))
+    assert read_manifest(p, 50) == focus
+    assert read_manifest(p, 42) == focus   # the last index a total of 42 holds
 
 
-def test_selection_errors():
+def test_selection_errors(tmp_path):
     with pytest.raises(ValueError, match="cannot select"):
         select_frames(10, 11, seed=0)
-    with pytest.raises(ValueError, match="duplicate"):
-        select_frames(10, 3, seed=0, focus_list=[1, 1, 2])
-    with pytest.raises(ValueError, match="out of range"):
-        select_frames(10, 2, seed=0, focus_list=[0, 10])
+    p = tmp_path / "frames.txt"
+    p.write_text("1\n1\n2\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{p}: duplicate frame indices [1]") + "$"):
+        read_manifest(p, 10)
+    p.write_text("0\n10\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{p}: frame indices out of range [0, 10): [10]") + "$"):
+        read_manifest(p, 10)
 
 
 def test_manifest_parsing(tmp_path):
     p = tmp_path / "frames.txt"
     p.write_text("3\n# a comment\n 17 \n\n0\n")
-    assert read_manifest(p) == [3, 17, 0]
+    assert read_manifest(p, 18) == [3, 17, 0]
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no frames"):
-        read_manifest(empty)
+        read_manifest(empty, 18)
     for line in ("abc", "-1", "2.0"):
         bad = tmp_path / "m.txt"
         bad.write_text(f"3\n# a comment\n{line}\n")
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"{bad}:3: expected a 0-based frame index, got {line!r}") + "$"):
-            read_manifest(bad)
+            read_manifest(bad, 18)
 
 
 # ------------------------------------------------------------ class weights

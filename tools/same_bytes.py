@@ -11,8 +11,9 @@ stdout/NN-<command>, with segment's timings masked. Prints the first file
 that differs and exits 1, or one line with the file count and exits 0.
 
 The list covers training at 64x64 in f32 and f64, a 30x22 scene trained,
-then segmented with probability maps, a 2-frame 320x240 segment, and
-evaluate and sweep over a category tree with spatial and temporal ROIs.
+then segmented with probability maps, a 2-frame 320x240 segment,
+evaluate and sweep over a category tree with spatial and temporal ROIs,
+and the 30x22 scene trained on the frames of a manifest file.
 Standard library only.
 """
 
@@ -33,6 +34,7 @@ WIDTH, HEIGHT = 30, 22
 SCENE = ["--width", str(WIDTH), "--height", str(HEIGHT), "--frames", "12"]
 ROI_BAND = 6        # left columns outside the spatial ROI
 TEMPORAL_ROI = "3 12\n"
+MANIFEST = "7\n0\n11\n# a comment\n3\n5\n9\n"   # 0-based, out of order
 TIMING = re.compile(r"[\d.]+(?= (?:frames/s|ms)\b)")   # segment's speed line
 
 
@@ -44,6 +46,10 @@ def _write_rois(work):
         root = work / "08-tree" / video
         (root / "ROI.pgm").write_bytes(b"P5\n%d %d\n255\n" % (WIDTH, HEIGHT) + row * HEIGHT)
         (root / "temporalROI.txt").write_text(TEMPORAL_ROI)
+
+
+def _write_manifest(work):
+    (work / "12-manifest.txt").write_text(MANIFEST)
 
 
 def steps():
@@ -72,6 +78,9 @@ def steps():
     video = next(iter(VIDEOS))
     yield ["sweep", "--data", f"08-tree/{video}", "--probs", f"09-tree-segment/probs/{video}",
            "--out", "11-sweep.csv"]
+    yield _write_manifest
+    yield ["train", "--data", "03-s30", "--manifest", "12-manifest.txt", "--epochs", "2",
+           "--seed", "5", "--weights-out", "13-s30-manifest/w.fgw"]
 
 
 def run_list(tree, work):
