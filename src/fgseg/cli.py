@@ -140,9 +140,17 @@ def _read_config_file(path):
     return values
 
 
+def _reject_empty(cfg, *names):
+    """An empty path is a usage error: Path("") is the working directory."""
+    for name in names:
+        if getattr(cfg, name, None) == "":
+            raise ValueError(f"--{name.replace('_', '-')} is empty")
+
+
 def _apply_config(parser, argv, args):
     """Parse again with the config file's lines as leading --key=value flags,
     so explicit flags win and file values pass the same checks as flags."""
+    _reject_empty(args, "config")
     known = set(vars(args)) - {"command", "config"}
     flags = []
     for key, value in _read_config_file(args.config).items():
@@ -170,12 +178,16 @@ def validate(cfg):
     # main() has pinned the threads by now, so numpy may load
     from .data import SynthConfig, check_threshold
     from .training import TrainConfig
+    wants_dir = cfg.command in ("segment", "synth")   # the others write files
+    # evaluate's and sweep's --out "" writes no CSV, and train's takes the default
+    _reject_empty(cfg, "data", "manifest", "masks", "probs", "weights_in", "weights_out",
+                  *["out"] * wants_dir)
     if cfg.command in ("train", "segment"):
-        if cfg.synthetic and cfg.data:
+        if cfg.synthetic and cfg.data is not None:
             raise ValueError("--data and --synthetic are mutually exclusive")
-        if not cfg.synthetic and not cfg.data:
+        if not cfg.synthetic and cfg.data is None:
             raise ValueError(f"{cfg.command} requires --data or --synthetic")
-        if cfg.data:  # train --data still draws --frames frames with --seed
+        if cfg.data is not None:  # train --data still draws --frames frames with --seed
             scene_only = ["width", "height", "objects"]
             scene_only += ["frames", "seed"] if cfg.command == "segment" else []
             for name in scene_only:
@@ -183,9 +195,7 @@ def validate(cfg):
                     raise ValueError(f"--{name} applies to a synthetic scene only, not to --data")
     if cfg.command == "train":
         _require(cfg, "weights_out")
-        if not cfg.weights_out:   # Path("") is ".", which no file can replace
-            raise ValueError("--weights-out is empty")
-        if cfg.manifest and cfg.frames is not None:
+        if cfg.manifest is not None and cfg.frames is not None:
             raise ValueError("--frames and --manifest are mutually exclusive")
         if cfg.frames is None:   # a synthetic scene's length under --manifest
             cfg.frames = TrainConfig.n_frames
@@ -207,12 +217,9 @@ def validate(cfg):
         _require(cfg, "data", "probs")
     elif cfg.command == "synth":
         _require(cfg, "out")
-    wants_dir = cfg.command in ("segment", "synth")   # the others write files
     for name in {"train": ("weights_out", "out"), "evaluate": ("out",), "sweep": ("out",),
                  "segment": ("out", "probs"), "synth": ("out",)}.get(cfg.command, ()):
         if not (path := getattr(cfg, name)):
-            if path == "" and wants_dir:   # Path("") is the working directory
-                raise ValueError(f"--{name} is empty")
             continue
         flag = f"--{name.replace('_', '-')} {path}"
         if Path(path).exists() and Path(path).is_dir() != wants_dir:
@@ -272,7 +279,7 @@ def _training_examples(cfg, data, training):
     handle = None if cfg.synthetic else data.load_sequence(cfg.data)
     total = cfg.scene.n_frames if cfg.synthetic else len(handle)
     start, stop = (0, total) if cfg.synthetic else data.temporal_range(handle)
-    if cfg.manifest:   # indices over the whole sequence, not its temporal ROI
+    if cfg.manifest is not None:   # indices over the whole sequence, not its temporal ROI
         indices = training.read_manifest(cfg.manifest, total)
     else:
         indices = [start + i for i in training.select_frames(stop - start, cfg.frames, cfg.seed)]
@@ -337,7 +344,7 @@ def cmd_segment(cfg, data, model, pyramid):
         start = time.perf_counter()
         probs = model.forward(net, pyramid.build_pyramid(frame))
         data.write_mask(probs, cfg.threshold, _frame_file(cfg.out, "bin", number))
-        if cfg.probs:
+        if cfg.probs is not None:
             data.write_prob_map(probs, _frame_file(cfg.probs, "prob", number))
         seconds.append(time.perf_counter() - start)
     print(f"segment: wrote {len(seconds)} masks to {Path(cfg.out)} (threshold {_fmt(cfg.threshold)})")
@@ -448,7 +455,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        cfg = validate(_apply_config(parser, argv, args) if args.config else args)
+        cfg = validate(_apply_config(parser, argv, args) if args.config is not None else args)
     except ValueError as e:
         print(f"fgseg {args.command}: {e}", file=sys.stderr)
         return 2

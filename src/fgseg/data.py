@@ -211,24 +211,21 @@ def temporal_range(handle: SequenceHandle):
 # ------------------------------------------------------------------- padding
 
 def pad_to_multiple(image, multiple):
-    """Reflect-pad bottom/right so H and W divide by `multiple`.
-
-    Returns (padded, (H, W)) with the original extents for crop_back.
-    """
+    """image reflect-padded bottom/right so H and W divide by `multiple`."""
     image = np.asarray(image)
     h, w = image.shape[-2:]
     ph = (-h) % multiple
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
-        return image, (h, w)
+        return image
     pad = [(0, 0)] * (image.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(image, pad, mode="reflect"), (h, w)
+    return np.pad(image, pad, mode="reflect")
 
 
-# the benchmark's traced segment probe (perfbench/tracing.py) pads and crops
-# a frame with these two; model.forward does both itself
+# the benchmark's traced segment probe (perfbench/tracing.py) pads a frame,
+# keeping its (H, W), and crops with these two; model.forward does both itself
 def pad_to_multiple_of_4(image):
-    return pad_to_multiple(image, 4)
+    return pad_to_multiple(image, 4), np.shape(image)[-2:]
 
 
 def crop_back(arr, extents):
@@ -238,6 +235,10 @@ def crop_back(arr, extents):
 
 # ----------------------------------------------------------- synthetic scenes
 
+SYNTH_SPEED = 2.0   # pixels an object moves per frame
+SYNTH_NOISE = 2.0   # standard deviation of each frame's pixel noise
+
+
 @dataclass
 class SynthConfig:
     width: int = 64
@@ -245,8 +246,6 @@ class SynthConfig:
     n_frames: int = 60
     n_objects: int = 2
     object_size: int = 10
-    speed: float = 2.0
-    noise: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -301,14 +300,13 @@ def synth_frames(config: SynthConfig):
     colors = [rng.uniform(170.0, 250.0, size=3) for _ in range(config.n_objects)]
     pos = [rng.uniform([0, 0], [h - size, w - size]) for _ in range(config.n_objects)]
     angles = rng.uniform(0, 2 * math.pi, size=config.n_objects)
-    vel = [config.speed * np.array([math.sin(a), math.cos(a)]) for a in angles]
+    vel = [SYNTH_SPEED * np.array([math.sin(a), math.cos(a)]) for a in angles]
 
     for _ in range(config.n_frames):
         frame = np.empty((3, h, w), dtype=np.float32)
         for c in range(3):
             frame[c] = base + tint[c]
-        if config.noise > 0:
-            frame += rng.normal(0.0, config.noise, size=(3, h, w)).astype(np.float32)
+        frame += rng.normal(0.0, SYNTH_NOISE, size=(3, h, w)).astype(np.float32)
 
         fg = np.zeros((h, w), dtype=bool)
         for i in range(config.n_objects):

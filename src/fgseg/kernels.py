@@ -338,11 +338,11 @@ def tconv2d_forward(x, w, b, spec: ConvSpec):
 
 def tconv2d_bands(x, w, b, spec: ConvSpec, y=None):
     """Iterate (first output row, band) over tconv2d_forward's output, bias
-    added and not yet checked finite, one band of output rows at a time:
-    each band is its rows of y when y is given, else the front of one
-    buffer that every band reuses.  Any spec but the 1x1 one.  A band of
-    that buffer ends on a multiple of _BAND_ALIGN output columns, so a GEMM
-    over one band's columns gives the bits of one GEMM over all of them."""
+    added and not yet checked finite, one band of output rows at a time.
+    Any spec but the 1x1 one.  A band ends on a multiple of _BAND_ALIGN
+    output columns, so a GEMM over one band's columns gives the bits of one
+    GEMM over all of them.  y says only where each band lands: in its rows
+    of y when given, else at the front of one buffer that every band reuses."""
     h, wd = x.shape[1:]
     ho, wo = spec.tconv_out_hw(h, wd)
     s = spec.stride
@@ -363,7 +363,7 @@ def tconv2d_bands(x, w, b, spec: ConvSpec, y=None):
     # phase 0 has the most rows; later phases use the front of the buffers
     bands = _plan_bands([(phases_h[0][0], wp)],
                         (spec.in_channels + 2 * spec.out_channels) * dtype.itemsize,
-                        1 if y is not None else _aligned_rows(s * wo))
+                        _aligned_rows(s * wo))
     rows = bands[0][0][2]
     acc = np.empty((spec.out_channels, rows * wp), dtype)
     tap = np.empty_like(acc)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -212,9 +213,14 @@ def _entry_count(d: LayerDef):
     return 2 + d.dropout_after
 
 
-def _layer_error(d: LayerDef, shape, e):
-    # the input shape tells the three scales apart
-    return NonFiniteError(f"{d.name} on a {'x'.join(map(str, shape))} input: {e}")
+@contextmanager
+def _named(d: LayerDef, shape):
+    """Re-raise a NonFiniteError as one that names layer d and the shape of
+    its input, which tells the three scales apart."""
+    try:
+        yield
+    except NonFiniteError as e:
+        raise NonFiniteError(f"{d.name} on a {'x'.join(map(str, shape))} input: {e}") from e
 
 
 def _activation(d: LayerDef):
@@ -235,13 +241,11 @@ def _record(tape, d: LayerDef, x, w, y, dctx=None):
 
 def _run_layer(model, d: LayerDef, x, training, rng, tape):
     p = model[d.name]
-    try:
+    with _named(d, x.shape):
         if d.pool_after:  # frozen (LayerDef's rule), so there is nothing to record
             return conv2d_relu_pool(x, p.weights, p.bias, d.spec())
         op = conv2d_forward if d.kind == "conv" else tconv2d_forward
         out, _ = op(x, p.weights, p.bias, d.spec())
-    except NonFiniteError as e:
-        raise _layer_error(d, x.shape, e) from e
     pointwise_activation(out, _activation(d), out=out)  # the layer's own fresh output
     out, dctx = dropout(out, DROPOUT_RATE, training, rng) if d.dropout_after else (out, None)
     _record(tape, d, x, p.weights, out, dctx)
@@ -266,7 +270,7 @@ def encode_scale(model: ModelParams, image, training=False, rng=None, tape=None)
 def _scale_images(pyr: PyramidTriple):
     # pad every level into the encoder's multiple-of-4 contract; features
     # are cropped back to the finest grid, and the output to the frame
-    return [pad_to_multiple(image, 4)[0] for image in pyr.scales]
+    return [pad_to_multiple(image, 4) for image in pyr.scales]
 
 
 class Trunk(NamedTuple):
@@ -306,41 +310,33 @@ def _features(model, pyr, training, rng, tape):
             for x in pyr.scales]
 
 
-def _check_band(d, shape, band):
-    """ensure_finite on a band of layer d's output, named as _run_layer names d."""
-    try:
-        ensure_finite(band, "tconv2d")
-    except NonFiniteError as e:
-        raise _layer_error(d, shape, e) from e
-
-
-def _pointwise_band(model, d, x, out, shape):
+def _pointwise_band(model, d, r0, x, y, shape):
     """Layer d, a 1x1 tconv, and its activation as _run_layer runs them, on
-    columns x (in_ch, n) of its input shaped shape, into out (out_ch, n)."""
+    x, rows r0.. of its input shaped shape, into the same rows of y."""
     p = model[d.name]
-    np.matmul(p.weights.reshape(d.in_ch, d.out_ch).T, x, out=out)
+    out = y[:, r0:r0 + x.shape[1]].reshape(d.out_ch, -1)
+    np.matmul(p.weights.reshape(d.in_ch, d.out_ch).T, x.reshape(d.in_ch, -1), out=out)
     out += p.bias[:, None]
-    _check_band(d, shape, out)
+    with _named(d, shape):
+        ensure_finite(out, "tconv2d")
     pointwise_activation(out, _activation(d), out=out)
 
 
 def _first_decoder_layer(model, feats, tape):
     """The first decoder layer (a 1x1 tconv) and its ReLU on the scales'
     features, upsampled to the finest feature grid and depth-concatenated
-    into one reused buffer one band of that grid at a time.  With a tape it
-    runs as one band, whose buffer is the whole input that the tape keeps."""
+    one band of that grid at a time.  Each band's input lands in its rows of
+    the whole input that a tape keeps, else in one buffer every band reuses."""
     d = DECODER_DEFS[0]
     c, th, tw = feats[0].shape
-    bands = (_plan_bands([(th, tw)], d.in_ch * feats[0].itemsize) if tape is None
-             else [[(0, 0, th, tw)]])
-    buf = np.empty(d.in_ch * bands[0][0][2] * tw, feats[0].dtype)
+    bands = _plan_bands([(th, tw)], d.in_ch * feats[0].itemsize)
+    x = np.empty((d.in_ch, th if tape is not None else bands[0][0][2], tw), feats[0].dtype)
     y = np.empty((d.out_ch, th, tw), dtype=np.result_type(feats[0], model.dtype))
     for [(_, r0, nr, _)] in bands:
-        x = buf[:d.in_ch * nr * tw].reshape(d.in_ch, nr, tw)
+        band = x[:, r0:r0 + nr] if tape is not None else x[:, :nr]
         for s, f in enumerate(feats):
-            upsample_nearest(f, 2 ** s, out=x[s * c:(s + 1) * c], row=r0)
-        _pointwise_band(model, d, x.reshape(d.in_ch, -1),
-                        y.reshape(d.out_ch, -1)[:, r0 * tw:(r0 + nr) * tw], (d.in_ch, th, tw))
+            upsample_nearest(f, 2 ** s, out=band[s * c:(s + 1) * c], row=r0)
+        _pointwise_band(model, d, r0, band, y, (d.in_ch, th, tw))
     _record(tape, d, x, model[d.name].weights, y)
     return y
 
@@ -348,21 +344,18 @@ def _first_decoder_layer(model, feats, tape):
 def _decoder_tail(model, x, tape):
     """The last two decoder layers, a 5x5 upscaling tconv and a 1x1 one,
     with their ReLU and sigmoid on x, one band of the first's output rows at
-    a time (tconv2d_bands').  Only with a tape is each rectified band also
-    copied into one full-resolution map, the 1x1 layer's input, to keep."""
+    a time (tconv2d_bands').  With a tape each rectified band lands in its
+    rows of one full-resolution map, the 1x1 layer's input, to keep."""
     up, last = DECODER_DEFS[-2:]
     p = model[up.name]
     ho, wo = up.spec().tconv_out_hw(*x.shape[1:])
     y = np.empty((last.out_ch, ho, wo), dtype=np.result_type(x, model.dtype))
     kept = None if tape is None else np.empty((up.out_ch, ho, wo), y.dtype)
-    for r0, band in tconv2d_bands(x, p.weights, p.bias, up.spec()):
-        _check_band(up, x.shape, band)
+    for r0, band in tconv2d_bands(x, p.weights, p.bias, up.spec(), kept):
+        with _named(up, x.shape):
+            ensure_finite(band, "tconv2d")
         pointwise_activation(band, "relu", out=band)
-        nr = band.shape[1]
-        if kept is not None:
-            kept[:, r0:r0 + nr] = band
-        _pointwise_band(model, last, band.reshape(up.out_ch, -1),
-                        y[:, r0:r0 + nr].reshape(last.out_ch, -1), (up.out_ch, ho, wo))
+        _pointwise_band(model, last, r0, band, y, (up.out_ch, ho, wo))
     _record(tape, up, x, p.weights, kept)
     _record(tape, last, kept, model[last.name].weights, y)
     return y

@@ -77,6 +77,6 @@ def build_pyramid(image) -> PyramidTriple:
         raise ShapeError(f"build_pyramid: expected (C, H, W), got {image.shape}")
     if not np.issubdtype(image.dtype, np.floating):
         image = image.astype(np.float32)
-    i1 = gaussian_blur(pad_to_multiple(image, 4)[0])[:, ::2, ::2]
+    i1 = gaussian_blur(pad_to_multiple(image, 4))[:, ::2, ::2]
     i2 = gaussian_blur(i1)[:, ::2, ::2]
     return PyramidTriple(image, i1, i2)

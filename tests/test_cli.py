@@ -378,6 +378,29 @@ def test_directory_outputs_fail_before_any_work(tmp_path, monkeypatch, capsys,
     assert (tmp_path / "f").read_bytes() == b"x"
 
 
+@pytest.mark.parametrize("command,flags,empty", [
+    ("train", (*TINY, "--epochs", 1, "--weights-out", "w.fgw", "--config", ""), "--config"),
+    ("train", (*TINY[:-2], "--epochs", 1, "--weights-out", "w.fgw", "--manifest", ""),
+     "--manifest"),
+    ("train", ("--data", "", "--weights-out", "w.fgw"), "--data"),
+    ("train", (*TINY, "--epochs", 1, "--weights-out", "w.fgw", "--weights-in", ""),
+     "--weights-in"),
+    ("segment", ("--synthetic", "--weights-in", "", "--out", "m"), "--weights-in"),
+    ("evaluate", ("--data", "", "--masks", "m"), "--data"),
+    ("evaluate", ("--data", "s", "--masks", ""), "--masks"),
+    ("sweep", ("--data", "s", "--probs", ""), "--probs"),
+    ("sweep", ("--data", "s", "--probs", "p", "--config", ""), "--config"),
+])
+def test_empty_input_paths_fail_before_any_work(tmp_path, monkeypatch, capsys,
+                                                command, flags, empty):
+    # Path("") is the working directory: unchecked, an empty --manifest or
+    # --config was ignored, and evaluate scanned the working directory
+    monkeypatch.chdir(tmp_path)
+    assert run(command, *flags) == 2
+    assert capsys.readouterr() == ("", f"fgseg {command}: {empty} is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_rejects_data_plus_synthetic(tmp_path, capsys):
     assert run("train", "--synthetic", "--data", tmp_path,
                "--weights-out", tmp_path / "w.fgsn") == 2

@@ -302,7 +302,7 @@ def test_fused_conv_relu_pool_matches_the_three_plain_kernels(monkeypatch, ho, w
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kernel,stride,pad,opad,h,w", [
     (5, 2, 2, 1, 9, 14),   # dec.b6/b8's upscale, 16 padded columns a row
-    (3, 1, 1, 0, 9, 14),   # dec.b5/b7's 3x3
+    (3, 1, 1, 0, 70, 14),  # dec.b5/b7's 3x3: bands of 32, 32 and 6 rows
     (3, 2, 1, 1, 70, 9),   # odd rows of 11 columns: 64-row bands
     (2, 2, 0, 0, 66, 8),   # no tap shifts at all
 ])
@@ -318,6 +318,25 @@ def test_tconv2d_bands_match_one_band(monkeypatch, kernel, stride, pad, opad, h,
     banded, _ = tconv2d_forward(x, k, b, spec)
     assert several_bands_short_last(calls)
     assert np.array_equal(banded, one)
+
+
+@pytest.mark.parametrize("kernel,stride,pad,opad", [(5, 2, 2, 1), (3, 1, 1, 0)])
+def test_tconv2d_bands_plan_the_same_bands_with_or_without_y(monkeypatch, kernel, stride,
+                                                             pad, opad):
+    # y says only where each band lands: the streamed decoder tail passes the
+    # map a tape keeps as y, and runs the bands it runs without one
+    rng = np.random.default_rng(34)
+    spec = ConvSpec(kernel, stride, pad, 4, 3, output_pad=opad)
+    x = rng.standard_normal((4, 70, 14)).astype(np.float32)
+    k = rng.standard_normal((4, 3, kernel, kernel)).astype(np.float32)
+    b = rng.standard_normal(3).astype(np.float32)
+    monkeypatch.setattr(kernels, "_BAND_BYTES", 1)
+    calls = record_bands(monkeypatch)
+    whole, _ = tconv2d_forward(x, k, b, spec)
+    rows = [r0 for r0, band in kernels.tconv2d_bands(x, k, b, spec)
+            if np.array_equal(band, whole[:, r0:r0 + band.shape[1]])]
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert rows == [stride * m0 for [(_, m0, _, _)] in calls[0][1]] and len(rows) > 1
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])

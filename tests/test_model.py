@@ -401,8 +401,8 @@ def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, monke
                                                              h, w, band_rows):
     # dec.b5.t1x1a runs band by band on rows of the decoder input upsampled
     # from each scale, and dec.b8.t5x5 with dec.b9.t1x1 on bands of output
-    # rows, with or without a tape; a tape only keeps what they make, and
-    # runs dec.b5.t1x1a as one band, whose buffer is its whole input
+    # rows, the same bands with or without a tape; a tape decides only where
+    # each band lands, in the whole maps that it keeps
     m = small_model
     grid = (-(-h // 4), -(-w // 4))
     bands = kernels._plan_bands([grid], 1536 * 4)
@@ -416,6 +416,33 @@ def test_banded_first_decoder_layer_matches_the_taped_forward(small_model, monke
     assert tail == [tail_rows[h, w]]
     assert banded.shape == (1, h, w)
     assert np.array_equal(banded, forward(m, trunk, tape=[]))
+
+
+def test_first_decoder_layer_runs_the_same_bands_with_a_tape(small_model, monkeypatch):
+    # with a tape each band's upsampled input lands in its rows of the whole
+    # decoder input, which the tape keeps as dec.b5.t1x1a's input
+    m = small_model
+    frame = np.random.default_rng(71).uniform(0, 255, (3, 240, 320)).astype(np.float32)
+    trunk = M.frozen_trunk(m, build_pyramid(frame))
+    feats = M._features(m, trunk, False, None, None)
+    th, tw = feats[0].shape[1:]
+    whole = kernels.concat_depth([kernels.upsample_nearest(f, 2 ** s)[:, :th, :tw]
+                                  for s, f in enumerate(feats)])
+    runs, upsample = [], M.upsample_nearest
+
+    def recorded(x, factor, out=None, row=0):
+        if factor == 1:   # the finest scale: once a band
+            runs[-1].append(row)
+        return upsample(x, factor, out=out, row=row)
+
+    monkeypatch.setattr(M, "upsample_nearest", recorded)
+    tape = []
+    for t in (None, tape):
+        runs.append([])
+        forward(m, trunk, tape=t)
+    assert runs == [[0, 20, 40]] * 2
+    (_, name, (x, _, _)) = next(e for e in tape if e[0] == "tconv")
+    assert name == "dec.b5.t1x1a" and np.array_equal(x, whole)
 
 
 def _record_tail_bands(monkeypatch):
@@ -451,9 +478,9 @@ def test_streamed_decoder_tail_in_several_bands_matches_the_taped_forward(small_
 
 
 def test_taped_forward_streams_the_decoder_tail(small_model, monkeypatch):
-    # a tape changes only what the streamed tail keeps: the same bands run,
-    # and each rectified band is copied into one map, which the tape holds
-    # as both dec.b8.t5x5's ReLU output and dec.b9.t1x1's input
+    # a tape changes only where the streamed tail's bands land: the same
+    # bands run, and each rectified band lands in its rows of one map, which
+    # the tape holds as both dec.b8.t5x5's ReLU output and dec.b9.t1x1's input
     m = small_model
     frame = np.random.default_rng(71).uniform(0, 255, (3, 64, 124)).astype(np.float32)
     trunk = M.frozen_trunk(m, build_pyramid(frame))

@@ -13,7 +13,9 @@ that differs and exits 1, or one line with the file count and exits 0.
 The list covers training at 64x64 in f32 and f64, a 30x22 scene trained,
 then segmented with probability maps, a 2-frame 320x240 segment,
 evaluate and sweep over a category tree with spatial and temporal ROIs,
-and the 30x22 scene trained on the frames of a manifest file.
+the 30x22 scene trained on the frames of a manifest file, and one epoch
+of training at 320x240, where the streamed decoder layers run several
+bands with a tape.
 Standard library only.
 """
 
@@ -81,6 +83,8 @@ def steps():
     yield _write_manifest
     yield ["train", "--data", "03-s30", "--manifest", "12-manifest.txt", "--epochs", "2",
            "--seed", "5", "--weights-out", "13-s30-manifest/w.fgw"]
+    yield ["train", "--synthetic", "--width", "320", "--height", "240", "--frames", "5",
+           "--epochs", "1", "--seed", "6", "--weights-out", "14-train-320/w.fgw"]
 
 
 def run_list(tree, work):
